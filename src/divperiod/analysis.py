@@ -47,6 +47,8 @@ class BoundParams:
     growth_constant_c: float = 0.1
 
     def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.growth_constant_c)):
+            raise InvalidArgument("epsilon and the growth constant must be finite")
         if self.epsilon <= 0 or self.threshold_n0 <= 0 or self.growth_constant_c <= 0:
             raise InvalidArgument("all bound parameters must be strictly positive")
 

@@ -1,6 +1,7 @@
 """Command-line interface: every capability, machine-readable output.
 
-Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
+Exit codes: 0 success, 1 domain error (message on stderr) or stdout
+closed early by its reader (no message), 2 usage error.
 Big values cross this boundary only in the canonical factored text form
 (e.g. ``2^6*3^4*5^2*7^2*11*13*17*19``); plain decimal arguments are
 capped at 64 bits.
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -452,7 +454,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `divperiod plot ... | head -1`).
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

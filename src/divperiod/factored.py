@@ -106,9 +106,15 @@ class FactoredInt:
         digits = math.floor(self.log10_value()) + 1
         if digits > max_digits:
             raise TooLarge(f"value has ~{digits} digits, above the ceiling of {max_digits}")
-        if digits >= sys.get_int_max_str_digits():
-            sys.set_int_max_str_digits(digits + 10)
-        return str(self.value())
+        old_limit = sys.get_int_max_str_digits()
+        if not 0 < old_limit <= digits:
+            return str(self.value())
+        # the limit is process-wide: lift it for this one conversion only
+        sys.set_int_max_str_digits(digits + 10)
+        try:
+            return str(self.value())
+        finally:
+            sys.set_int_max_str_digits(old_limit)
 
     def to_text(self) -> str:
         """Canonical text form, e.g. 2^6*3^4*5^2*7^2*11*13*17*19."""

@@ -1,13 +1,16 @@
 """Prime generation, primality testing, indexed prime access, factorization.
 
 The substrate every other module consumes.  A least-prime-factor sieve
-handles batch factorization; a separate growable prime list backs
-``nth_prime`` so constructions can consume an unpredictable number of
-primes without committing to a sieve limit up front.
+handles batch factorization up to 10^7; above it, Pollard-Brent rho
+splits whatever trial division by the primes below 1000 leaves.  A
+separate growable prime list backs ``nth_prime`` so constructions can
+consume an unpredictable number of primes without committing to a sieve
+limit up front.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,17 +23,27 @@ from .errors import InvalidArgument, ResourceLimit
 # already past the 10^8 design target.
 SIEVE_CEILING = 200_000_000
 
-# Trial division gives up past this bound; larger cofactors must be prime
-# or a prime square, otherwise the caller has to supply the input
-# pre-factored.
-_TRIAL_LIMIT = 10_000_000
+# factorize reads n up to this bound off the least-prime-factor table
+_TABLE_PATH_LIMIT = 10_000_000
+
+# products of |x - y| that Brent's rho accumulates per gcd
+_RHO_BATCH = 128
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, correct for all n < 2^64."""
+    """Primality of n.
+
+    Below 2^64 the answer is proven: strong probable-prime tests to the
+    first twelve prime bases admit no composite there (the least one to
+    pass all twelve is 318665857834031151167461, OEIS A014233).  From
+    2^64 on, a strong Lucas test with Selfridge's parameters follows the
+    base-2 test, which makes it Baillie-PSW: no composite is known to
+    pass it, but that is not a proof, so True there means a probable
+    prime.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -51,7 +64,67 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < 2**64 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _half(x: int, n: int) -> int:
+    """x / 2 modulo the odd n."""
+    x %= n
+    return (x + n) // 2 if x % 2 else x // 2
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 37, Selfridge's method A.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D) / 4.  With n + 1 = d * 2^s, n passes when U_d = 0 or
+    V_(d * 2^r) = 0 for some 0 <= r < s, all modulo n.
+    """
+    r = math.isqrt(n)
+    if r * r == n:
+        return False  # no D has (D/n) = -1 for a square n
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k for k = 1, then along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = _half(U + V, n), _half(D * U + V, n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -79,6 +152,10 @@ def build_table(limit: int) -> PrimeTable:
     primes = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
     spf[primes] = primes
     return PrimeTable(limit, primes, spf)
+
+
+# factorize trial-divides larger n by these primes before it runs rho
+_SMALL_PRIMES = tuple(build_table(999).primes.tolist())
 
 
 # --- growable prime list backing nth_prime / trial division ---
@@ -115,22 +192,72 @@ _table: PrimeTable | None = None
 
 
 def _default_table(minimum: int) -> PrimeTable:
+    """A table reaching ``minimum``: the first 10^6, then doubling up to 10^7.
+
+    Only a caller's own ``minimum`` takes it past the 10^7 table path.
+    """
     global _table
     if _table is None or _table.limit < minimum:
-        limit = max(minimum, 1_000_000)
-        if _table is not None:
-            limit = max(limit, 2 * _table.limit)
-        _table = build_table(min(limit, SIEVE_CEILING))
+        grown = 1_000_000 if _table is None else 2 * _table.limit
+        limit = max(minimum, min(grown, _TABLE_PATH_LIMIT))
+        _table = None  # free the old table before the next one is built
+        _table = build_table(limit)
     return _table
 
 
-def factorize(n: int, table: PrimeTable | None = None):
-    """Factor n >= 1 into a FactoredInt.
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n: Brent's cycle-finding rho.
 
-    Uses the least-prime-factor sieve when n is within table range and
-    trial division by sieved primes otherwise.  Cofactors whose prime
-    factors all exceed 10^7 are accepted only if prime or a prime square;
-    anything else must enter the system already factored.
+    Iterates y -> y^2 + c mod n, batching _RHO_BATCH differences |x - y|
+    per gcd; when a batch overshoots to gcd n it steps again one at a
+    time, and when that also gives n it moves on to the next c.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _large_prime_factors(m: int) -> list[int]:
+    """Prime factors of m, with multiplicity, splitting composites by rho."""
+    found: list[int] = []
+    stack = [m]
+    while stack:
+        c = stack.pop()
+        if is_prime(c):
+            found.append(c)
+        else:
+            g = _rho(c)
+            stack += (g, c // g)
+    return found
+
+
+def factorize(n: int, table: PrimeTable | None = None):
+    """Factor 1 <= n < 2^64 into a FactoredInt.
+
+    n within the least-prime-factor table (the default one reaches 10^7)
+    is read off the table.  Larger n is trial-divided by the primes below
+    1000; each prime factor of what is left is then proven prime by
+    deterministic Miller-Rabin, and each composite part is split by
+    Pollard-Brent rho until only primes remain.
     """
     from .factored import FactoredInt
 
@@ -142,7 +269,7 @@ def factorize(n: int, table: PrimeTable | None = None):
         return FactoredInt(())
 
     factors: list[tuple[int, int]] = []
-    if table is None and n <= 10_000_000:
+    if table is None and n <= _TABLE_PATH_LIMIT:
         table = _default_table(n)
     if table is not None and n <= table.limit:
         spf = table.smallest_factor
@@ -158,12 +285,8 @@ def factorize(n: int, table: PrimeTable | None = None):
         return FactoredInt(tuple(factors))
 
     m = n
-    idx = 1
-    while True:
-        p = nth_prime(idx)
+    for p in _SMALL_PRIMES:
         if p * p > m:
-            break
-        if p > _TRIAL_LIMIT:
             break
         if m % p == 0:
             e = 0
@@ -171,18 +294,7 @@ def factorize(n: int, table: PrimeTable | None = None):
                 m //= p
                 e += 1
             factors.append((p, e))
-        idx += 1
     if m > 1:
-        if is_prime(m):
-            factors.append((m, 1))
-        else:
-            r = math.isqrt(m)
-            if r * r == m and is_prime(r):
-                factors.append((r, 2))
-            else:
-                raise ResourceLimit(
-                    f"cannot factor cofactor {m}: all prime factors exceed "
-                    f"{_TRIAL_LIMIT}; supply the input in factored form"
-                )
-    factors.sort()
+        large = _large_prime_factors(m)
+        factors += ((p, large.count(p)) for p in sorted(set(large)))
     return FactoredInt(tuple(factors))

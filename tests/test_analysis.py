@@ -51,6 +51,11 @@ def test_bound_params_validation():
         BoundParams(epsilon=0.0)
     with pytest.raises(InvalidArgument):
         BoundParams(threshold_n0=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgument):
+            BoundParams(epsilon=bad)
+        with pytest.raises(InvalidArgument):
+            BoundParams(growth_constant_c=bad)
 
 
 def test_max_order_ratio_examples():

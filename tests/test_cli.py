@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import divperiod
 from divperiod.cli import main
 
 
@@ -83,6 +88,15 @@ def test_construct_decimal_cap(capsys):
     code, _, err = run(capsys, "construct", str(2**64))
     assert code == 1
     assert "factored form" in err
+
+
+def test_construct_rejects_strong_pseudoprime(capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes the
+    # strong test to every prime base up to 37
+    code, out, err = run(capsys, "construct", "2*318665857834031151167461")
+    assert code == 1
+    assert out == ""
+    assert "not prime" in err
 
 
 def test_naive(capsys):
@@ -195,3 +209,25 @@ def test_determinism(capsys):
     # --threads is accepted and inert
     third = run(capsys, "chain", "--max-k", "6", "--bound", "6000", "--format", "json", "--threads", "4")
     assert third == first
+
+
+def test_wigert_rejects_nan_epsilon(capsys):
+    code, out, err = run(capsys, "wigert", "--from", "3", "--to", "1000", "--epsilon", "nan")
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+def test_closed_stdout_ends_quietly():
+    path = [str(Path(divperiod.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from divperiod.cli import entry; entry()",
+         "plot", "--from", "2", "--to", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"2,1\n"
+    proc.stdout.close()  # the output left is far more than a pipe buffer holds
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -61,6 +62,16 @@ def test_to_decimal_ceiling():
     with pytest.raises(TooLarge, match="10000"):
         FactoredInt(((2, 40_000),)).to_decimal()
     assert len(FactoredInt(((2, 40_000),)).to_decimal(max_digits=13_000)) == 12_042
+
+
+def test_to_decimal_keeps_int_digit_limit():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default, below 6,021 digits
+    try:
+        assert len(FactoredInt(((2, 20_000),)).to_decimal()) == 6_021
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_divisor_count():

@@ -1,10 +1,36 @@
+import math
 import random
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from divperiod import InvalidArgument, build_table, factorize, is_prime, nth_prime
+from divperiod import FactoredInt, InvalidArgument, build_table, factorize, is_prime, nth_prime
+from divperiod import primes
 from divperiod.errors import ResourceLimit
+
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to
+# every prime base up to 37
+PSI_12 = 318665857834031151167461
+
+# OEIS A014233: the least odd composite that passes the strong test to
+# the first n prime bases, n = 1..13
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, PSI_12,
+    3317044064679887385961981,
+)
+
+# 64-bit semiprimes with both factors above 10^7, which trial division to
+# 10^7 could not split (the benchmark's formerly refused requests)
+LARGE_SEMIPRIMES = (
+    10_000_019 * 10_000_079,
+    2_147_483_647 * 2_147_483_629,
+    1_000_000_007 * 4_294_967_291,
+)
 
 
 def test_build_table_small():
@@ -105,7 +131,7 @@ def test_factorize_matches_trial_division():
 
 
 def test_factorize_beyond_table():
-    # trial division path: value above any default sieve
+    # above the default table: trial division, then Miller-Rabin on the cofactor
     n = 10_000_019 * 4  # 10_000_019 is prime
     fi = factorize(n)
     assert fi.value() == n
@@ -113,7 +139,91 @@ def test_factorize_beyond_table():
         factorize(2**64)
 
 
-def test_factorize_large_semiprime_rejected():
-    p = 2_147_483_647  # both factors above the trial-division bound
-    with pytest.raises(ResourceLimit):
-        factorize(p * (p - 18))  # p-18 = 2147483629 is also prime
+def test_factorize_large_semiprime():
+    p = 2_147_483_647  # p - 18 = 2147483629 is also prime
+    assert factorize(p * (p - 18)).factors == ((2_147_483_629, 1), (2_147_483_647, 1))
+
+
+def _prime_near(lo: int, hi: int):
+    """The largest prime below a number drawn from [lo, hi]."""
+    return st.integers(lo, hi).map(sympy.prevprime)
+
+
+_balanced_semiprimes = st.builds(
+    lambda p, q: p * q, _prime_near(2**30 + 2, 2**32), _prime_near(2**30 + 2, 2**32)
+)
+# p^e in [2^(64 - e), 2^64) for e = 2..6
+_prime_powers = st.integers(2, 6).flatmap(
+    lambda e: _prime_near(math.floor(2 ** (64 / e)) // 2, math.floor(2 ** (64 / e))).map(
+        lambda p: p**e
+    )
+)
+
+
+def _check_against_sympy(n: int) -> None:
+    try:
+        got = factorize(n)
+    except ResourceLimit:
+        pytest.fail(f"factorize refused the 64-bit input {n}")
+    assert got.factors == tuple(sorted(sympy.factorint(n).items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2**64 - 1))
+@example(2**64 - 1)
+@example(2**64 - 59)  # the largest 64-bit prime
+def test_factorize_matches_sympy(n):
+    _check_against_sympy(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_balanced_semiprimes, _prime_powers))
+@example(LARGE_SEMIPRIMES[0])
+@example(LARGE_SEMIPRIMES[1])
+@example(LARGE_SEMIPRIMES[2])
+@example(4_294_967_291**2)  # the largest 64-bit prime square
+def test_factorize_hard_64_bit_inputs_match_sympy(n):
+    _check_against_sympy(n)
+
+
+def test_default_table_growth_capped():
+    saved = primes._table
+    try:
+        primes._table = None
+        limits = []
+        for n in (2, 10**6 + 1, 2 * 10**6 + 1, 4 * 10**6 + 1, 8 * 10**6 + 1):
+            limits.append(primes._default_table(n).limit)
+        assert limits == [10**6, 2 * 10**6, 4 * 10**6, 8 * 10**6, 10**7]
+        # a caller's own minimum still takes it past 10^7
+        assert primes._default_table(12 * 10**6).limit == 12 * 10**6
+    finally:
+        primes._table = saved
+
+
+def test_is_prime_rejects_a014233():
+    for n in A014233:
+        assert not is_prime(n)
+        assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_above_2_64_matches_sympy():
+    rng = random.Random(20261018)
+    sample = [rng.randrange(2**64, 2**128) for _ in range(300)]
+    sample += [sympy.nextprime(n) for n in sample[:100]]
+    # composites with no small factor, so only the strong tests decide
+    large = [sympy.nextprime(rng.randrange(2**40, 2**64)) for _ in range(100)]
+    sample += [p * q for p, q in zip(large[::2], large[1::2])]
+    for n in sample:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_strong_lucas_matches_sympy():
+    # odd n with no prime factor up to 37: the inputs is_prime hands over
+    for n in range(41, 100_001, 2):
+        if math.gcd(n, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37) == 1:
+            assert primes._strong_lucas(n) == is_strong_lucas_prp(n), n
+
+
+def test_factored_int_rejects_psi_12():
+    with pytest.raises(InvalidArgument):
+        FactoredInt(((PSI_12, 1),))
