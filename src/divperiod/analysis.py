@@ -18,8 +18,7 @@ from .construct import canonical_preimage
 from .divisor import PeriodTable
 from .errors import InvalidArgument
 from .factored import FactoredInt
-
-LN2 = math.log(2.0)
+from .hcn import LN2
 
 
 @dataclass(frozen=True)

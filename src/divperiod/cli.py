@@ -201,10 +201,11 @@ def cmd_chain(args) -> int:
 
 
 def cmd_verify_theorem1(args) -> int:
-    table = construct._cached_table(args.sieve_bound)
-    d = table.divisor_of[1:]
-    values, first_idx = np.unique(d, return_index=True)
-    sieve_min = {int(v): int(i) + 1 for v, i in zip(values, first_idx)}
+    d = divisor.shared_table(args.sieve_bound).divisor_of[1:]
+    # least n with d(n) = v: scatter n from the top down, so the least lands last
+    first = np.zeros(int(d.max()) + 1, dtype=np.int32)
+    first[d[::-1]] = np.arange(d.size, 0, -1, dtype=np.int32)
+    sieve_min = {int(v): int(first[v]) for v in np.flatnonzero(first)}
     rows = []
     for t in range(2, args.limit + 1):
         canon = construct.canonical_preimage(factorize(t))

@@ -25,15 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divisor import PeriodTable, first_occurrences, period_table
+from .divisor import PeriodTable, first_occurrences, shared_table
 from .errors import InvalidArgument
-from .factored import FactoredInt
-from .primes import _default_table, factorize, nth_prime
+from .factored import _LOG_SCREEN, FactoredInt
+from .hcn import max_divisor_count
+from .primes import factorize, nth_prime
 
 DEFAULT_CANDIDATE_BOUND = 5_000_000
-
-# log10 gap below which candidate comparison goes exact
-_LOG_SCREEN = 1e-6
 
 
 def canonical_preimage(n: FactoredInt) -> FactoredInt:
@@ -82,10 +80,8 @@ class _MinSearch:
     def __init__(self):
         self.best_exps: tuple[int, ...] | None = None
         self.best_log: float = math.inf
-        self.best_target: int | None = None
 
     def run(self, target: int) -> None:
-        self._target = target
         self._dfs(target, 1, target, 0.0, [])
 
     def _offer(self, exps: list[int], log10v: float) -> None:
@@ -97,7 +93,6 @@ class _MinSearch:
                 return
         self.best_exps = tuple(exps)
         self.best_log = _exps_log10(self.best_exps)
-        self.best_target = self._target
 
     def _dfs(self, rem: int, idx: int, max_f: int, log10v: float, exps: list[int]) -> None:
         if rem == 1:
@@ -147,60 +142,59 @@ class ChainRecord:
     canonical_match: bool | None = None
 
 
-_table_cache: dict[int, PeriodTable] = {}
-
-
-def _cached_table(limit: int) -> PeriodTable:
-    if limit not in _table_cache:
-        _table_cache.clear()
-        _table_cache[limit] = period_table(limit)
-    return _table_cache[limit]
-
-
 def _record(k: int, value: FactoredInt, verification: str) -> ChainRecord:
     dec = value.to_decimal()
     return ChainRecord(k, value, dec, len(dec), verification)
 
 
 def min_with_period(
-    k: int, candidate_bound: int = DEFAULT_CANDIDATE_BOUND, table: PeriodTable | None = None
+    k: int,
+    candidate_bound: int = DEFAULT_CANDIDATE_BOUND,
+    table: PeriodTable | None = None,
+    occurrences: dict[int, int] | None = None,
 ) -> ChainRecord | None:
     """Minimal integer with period k, or None if unreachable at this bound.
 
     If the sieve up to ``candidate_bound`` already contains a period-k
     entry the answer is unconditional (sieve-verified).  Otherwise every
-    sieved n' with period k-1 becomes a divisor-count target for the
-    exact oracle and the minimum is only known relative to the bound.
+    sieved n' with period k-1 is a divisor-count target for the exact
+    oracle and the minimum is only known relative to the bound.  The
+    sweep is pruned by the highly-composite bound: once the least target
+    gives a value S, no target above d(H), H the largest highly
+    composite number <= S, can give less, so those targets are skipped.
+    The result and its label are those of the full sweep.
+
+    ``occurrences`` is ``first_occurrences(table)``, if the caller has it.
     """
     if k < 1:
         raise InvalidArgument(f"period must be >= 1, got {k}")
     if candidate_bound < 2:
         raise InvalidArgument(f"candidate bound must be >= 2, got {candidate_bound}")
     if table is None:
-        table = _cached_table(candidate_bound)
-    occ = first_occurrences(table)
-    if k in occ:
-        return _record(k, factorize(occ[k]), "sieve-verified")
+        table = shared_table(candidate_bound)
+    if occurrences is None:
+        occurrences = first_occurrences(table)
+    if k in occurrences:
+        return _record(k, factorize(occurrences[k]), "sieve-verified")
 
     targets = np.flatnonzero(table.period_of[: table.limit + 1] == k - 1)
     if targets.size == 0:
         return None
-    spf = _default_table(table.limit).smallest_factor
-    log10_2 = math.log10(2)
     search = _MinSearch()
-    for t in targets.tolist():
+    search.run(int(targets[0]))
+    # a target t with MinDiv(t) <= S has t = d(MinDiv(t)) <= d(H)
+    cap = max_divisor_count(_exps_to_factored(search.best_exps))
+    if cap is not None:
+        targets = targets[targets <= cap]
+    log10_2 = math.log10(2)
+    for t in targets[1:].tolist():
         # any prime factor q of t forces a divisor-count factor >= q on
         # some prime, so the minimum with t divisors is >= 2^(q-1);
         # targets with a large prime factor cannot beat the running best
-        m = t
-        gpf = 0
-        while m > 1:
-            gpf = int(spf[m])
-            while m % gpf == 0:
-                m //= gpf
+        gpf = factorize(t).factors[-1][0]
         if (gpf - 1) * log10_2 > search.best_log + _LOG_SCREEN:
             continue
-        search.run(int(t))
+        search.run(t)
     return _record(
         k, _exps_to_factored(search.best_exps), f"oracle-verified-up-to-bound({table.limit})"
     )
@@ -219,13 +213,14 @@ def chain(
     """
     if max_k < 1:
         raise InvalidArgument(f"max_k must be >= 1, got {max_k}")
-    table = _cached_table(candidate_bound)
+    table = shared_table(candidate_bound)
+    occurrences = first_occurrences(table)
     records: list[ChainRecord] = []
     for k in range(1, max_k + 1):
         if k <= 2:
             rec = _record(k, factorize(2 * k), "sieve-verified")
         else:
-            rec = min_with_period(k, candidate_bound, table=table)
+            rec = min_with_period(k, candidate_bound, table, occurrences)
             if rec is None:
                 break
             constructed = canonical_preimage(records[-1].value)

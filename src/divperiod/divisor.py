@@ -110,6 +110,17 @@ def period_table(limit: int) -> PeriodTable:
     return PeriodTable(limit, k, d)
 
 
+_shared: dict[int, PeriodTable] = {}
+
+
+def shared_table(limit: int) -> PeriodTable:
+    """``period_table(limit)``, kept for the next caller; holds one table."""
+    if limit not in _shared:
+        _shared.clear()
+        _shared[limit] = period_table(limit)
+    return _shared[limit]
+
+
 def first_occurrences(table: PeriodTable) -> dict[int, int]:
     """For each period value present, the least n attaining it."""
     ks = table.period_of[2 : table.limit + 1]

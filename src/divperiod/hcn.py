@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .construct import ChainRecord
 from .errors import InvalidArgument, ResourceLimit
 from .factored import FactoredInt
 from .primes import nth_prime
+
+if TYPE_CHECKING:
+    from .construct import ChainRecord
 
 # is_highly_composite refuses above this by default; enumeration itself
 # has a slightly higher hard stop.
 DEFAULT_LOG10_CEILING = 15.0
 _ENUM_HARD_CEILING = 18.0
+_ENUM_HARD_LIMIT = int(10**_ENUM_HARD_CEILING)
 
 LN2 = math.log(2.0)
 
@@ -60,10 +64,14 @@ def enumerate_hcn(log10_limit: float) -> list[HCNRecord]:
         raise ResourceLimit(
             f"enumeration above 10^{_ENUM_HARD_CEILING} is not supported"
         )
-    limit_value = int(10**log10_limit)
+    return _hcn_up_to(int(10**log10_limit))
+
+
+def _hcn_up_to(limit: int) -> list[HCNRecord]:
+    """All highly composite numbers <= limit (an exact integer), ascending."""
     records = []
     best_d = 0
-    for value, exps in sorted(_candidates(limit_value)):
+    for value, exps in sorted(_candidates(limit)):
         d = 1
         for e in exps:
             d *= e + 1
@@ -72,6 +80,20 @@ def enumerate_hcn(log10_limit: float) -> list[HCNRecord]:
             fi = FactoredInt(tuple((nth_prime(i + 1), e) for i, e in enumerate(exps)))
             records.append(HCNRecord(fi, d, str(value)))
     return records
+
+
+def max_divisor_count(n: FactoredInt) -> int | None:
+    """d(H) for the largest highly composite H <= n, or None above the
+    enumeration ceiling.
+
+    Every m <= n has d(m) <= d(H): the least m <= n with the most
+    divisors in [1, n] beats every smaller integer, so it is highly
+    composite, hence at most H.
+    """
+    # the float screen spares computing the exact value of a huge n
+    if n.log10_value() > _ENUM_HARD_CEILING + 1 or n.value() > _ENUM_HARD_LIMIT:
+        return None
+    return _hcn_up_to(n.value())[-1].divisor_count
 
 
 def is_highly_composite(

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from divperiod import (
     period,
     period_table,
 )
+from divperiod import PeriodTable, construct
+from divperiod.cli import main
+from divperiod.hcn import max_divisor_count
 
 L = FactoredInt(((2, 6), (3, 4), (5, 2), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1)))
 
@@ -153,3 +158,91 @@ def test_chain_records_reach_two():
         for _ in range(rec.period):
             m = factorize(m).divisor_count()
         assert m == 2
+
+
+@pytest.mark.parametrize("k, bound", [(7, 6_000), (7, 200_000), (6, 4_000)])
+def test_min_with_period_matches_full_sweep(k, bound):
+    # the pruned sweep against the oracle run on every period-(k-1) target
+    table = period_table(bound)
+    assert k not in {int(p) for p in table.period_of[2:]}
+    best = None
+    for t in np.flatnonzero(table.period_of == k - 1).tolist():
+        value = exact_min_with_divisors(t)
+        if best is None or value.compare(best) < 0:
+            best = value
+    rec = min_with_period(k, bound)
+    assert rec.value == best
+    assert rec.verification == f"oracle-verified-up-to-bound({bound})"
+
+
+def test_hcn_divisor_bound_dominates_sieve():
+    # d(H) for the largest highly composite H <= S is max d(m) over m <= S
+    limit = 10**6
+    running_max = np.maximum.accumulate(period_table(limit).divisor_of)
+    rng = random.Random(5)
+    picks = [rng.randrange(1, limit + 1) for _ in range(200)]
+    # highly composite values and their neighbours, where a limit that
+    # rounds down would drop H
+    picks += [h + dh for h in (5040, 55440, 720720) for dh in (-1, 0, 1)]
+    for s in picks:
+        assert max_divisor_count(factorize(s)) == running_max[s]
+
+
+def test_hcn_divisor_bound_exact_at_period_seven():
+    # 293318625600 is itself highly composite; a float limit just below
+    # it would give the previous record, 4800 divisors
+    assert max_divisor_count(L) == 5040
+    assert max_divisor_count(FactoredInt(((2, 18), (5, 18)))) is not None
+    assert max_divisor_count(FactoredInt(((2, 18), (5, 18), (7, 1)))) is None
+
+
+@pytest.fixture
+def oracle_runs(monkeypatch):
+    """The targets the oracle runs on, in order."""
+    runs = []
+    original = construct._MinSearch.run
+
+    def counted(self, target):
+        runs.append(target)
+        return original(self, target)
+
+    monkeypatch.setattr(construct._MinSearch, "run", counted)
+    return runs
+
+
+def test_min_with_period_prunes_above_hcn_bound(oracle_runs):
+    # synthetic targets: 7 gives S = 2^6 = 64, whose largest highly
+    # composite H = 60 has 12 divisors, so 12 (MinDiv 60) is the last
+    # target kept and wins; 13 and 18 are never run
+    targets = [7, 12, 13, 18]
+    period_of = np.zeros(20, dtype=np.int16)
+    period_of[targets] = 4
+    table = PeriodTable(19, period_of, np.zeros(20, dtype=np.int32))
+    assert min(int(exact_min_with_divisors(t).to_decimal()) for t in targets) == 60
+    oracle_runs.clear()
+    rec = min_with_period(5, 19, table, occurrences={})
+    assert rec.decimal == "60"
+    assert oracle_runs == [7, 12]
+
+
+def test_chain_to_seven_runs_oracle_at_most_twice(oracle_runs):
+    records = chain(7)
+    assert records[-1].value == L
+    assert records[-1].verification == "oracle-verified-up-to-bound(5000000)"
+    assert len(oracle_runs) <= 2
+
+
+def test_verify_theorem1_sieve_min(capsys):
+    bound = 100_000
+    d = period_table(bound).divisor_of[1:]
+    values, first_idx = np.unique(d, return_index=True)
+    expected = {int(v): int(i) + 1 for v, i in zip(values, first_idx)}
+    limit = int(d.max()) + 2
+    code = main(["verify-theorem1", "--limit", str(limit), "--sieve-bound", str(bound),
+                 "--format", "csv"])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == limit - 1
+    for row in rows:
+        t, _, _, smin, _ = row.split(",")
+        assert smin == str(expected.get(int(t), ""))
