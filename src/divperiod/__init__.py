@@ -1,8 +1,8 @@
 """divperiod: dynamics of the iterated divisor function.
 
 Periods k(n) (least k with d^k(n) = 2), minimal preimages under d,
-sieve-batched period tables, highly composite numbers, and empirical
-growth-bound scans.
+a cache-blocked divisor and period sieve, highly composite numbers, and
+empirical growth-bound scans.
 """
 
 from .errors import (
@@ -16,6 +16,7 @@ from .factored import FactoredInt, parse
 from .primes import PrimeTable, build_table, factorize, is_prime, nth_prime
 from .divisor import (
     PeriodTable,
+    Sieve,
     Trajectory,
     divisor_count_int,
     first_occurrences,

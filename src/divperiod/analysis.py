@@ -15,7 +15,7 @@ from typing import TextIO
 import numpy as np
 
 from .construct import canonical_preimage
-from .divisor import PeriodTable
+from .divisor import PeriodTable, Sieve
 from .errors import InvalidArgument
 from .factored import FactoredInt
 from .hcn import LN2
@@ -28,13 +28,16 @@ class Histogram:
     counts: dict[int, int]
 
 
-def histogram(table: PeriodTable, lo: int, hi: int) -> Histogram:
+def histogram(table: PeriodTable | Sieve, lo: int, hi: int) -> Histogram:
     """Period-frequency counts over [lo, hi]."""
     if not 2 <= lo <= hi <= table.limit:
         raise InvalidArgument(f"range [{lo}, {hi}] outside table limit {table.limit}")
-    bins = np.bincount(table.period_of[lo : hi + 1])
-    counts = {k: int(c) for k, c in enumerate(bins) if k >= 1 and c > 0}
-    return Histogram(lo, hi, counts)
+    counts: dict[int, int] = {}
+    for _, _, k in table.blocks(lo, hi):
+        for kk, c in enumerate(np.bincount(k).tolist()):
+            if c:
+                counts[kk] = counts.get(kk, 0) + c
+    return Histogram(lo, hi, dict(sorted(counts.items())))
 
 
 @dataclass(frozen=True)
@@ -71,33 +74,27 @@ def max_order_ratio(n: int, d: int) -> float:
 
 
 def wigert_scan(
-    table: PeriodTable, params: BoundParams, lo: int, hi: int
+    table: PeriodTable | Sieve, params: BoundParams, lo: int, hi: int
 ) -> WigertReport:
     """Scan r(n) over [lo, hi]: maximum, argmax, and above-threshold n."""
     if lo < 3:
         raise InvalidArgument("scan needs lo >= 3 (ln ln n must be defined)")
     if not lo <= hi <= table.limit:
         raise InvalidArgument(f"range [{lo}, {hi}] outside table limit {table.limit}")
-    n = np.arange(lo, hi + 1, dtype=np.float64)
-    d = table.divisor_of[lo : hi + 1].astype(np.float64)
-    r = np.log(d) * np.log(np.log(n)) / np.log(n)
-    imax = int(np.argmax(r))
     threshold = LN2 * (1.0 + params.epsilon)
-    mask = (np.arange(lo, hi + 1) >= params.threshold_n0) & (r > threshold)
-    violations = [
-        (int(lo + i), int(table.divisor_of[lo + i]), float(r[i]))
-        for i in np.flatnonzero(mask)
-    ]
-    return WigertReport(
-        lo,
-        hi,
-        params,
-        threshold,
-        float(r[imax]),
-        lo + imax,
-        int(table.divisor_of[lo + imax]),
-        violations,
-    )
+    max_ratio, argmax_n, argmax_d = -math.inf, lo, 0
+    violations: list[tuple[int, int, float]] = []
+    for start, d, _ in table.blocks(lo, hi):
+        n = np.arange(start, start + d.size, dtype=np.float64)
+        r = np.log(d.astype(np.float64)) * np.log(np.log(n)) / np.log(n)
+        imax = int(np.argmax(r))
+        # strict: a tie in a later block keeps the earlier, least n
+        if r[imax] > max_ratio:
+            max_ratio, argmax_n, argmax_d = float(r[imax]), start + imax, int(d[imax])
+        skip = min(max(params.threshold_n0 - start, 0), d.size)
+        idx = skip + np.flatnonzero(r[skip:] > threshold)
+        violations += zip((start + idx).tolist(), d[idx].tolist(), r[idx].tolist())
+    return WigertReport(lo, hi, params, threshold, max_ratio, argmax_n, argmax_d, violations)
 
 
 @dataclass(frozen=True)

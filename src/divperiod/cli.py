@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -47,17 +48,23 @@ def _int_arg(text: str, what: str) -> int:
     return n
 
 
-def _emit(args, payload: dict, text_lines: list[str], csv_writer=None) -> None:
+def _emit(
+    args,
+    payload: Callable[[], dict],
+    text_lines: Callable[[], list[str]],
+    csv_writer: Callable[[TextIO], None] | None = None,
+) -> None:
+    """Build and write only the form ``args.format`` asks for."""
     out = args._out
     if args.format == "json":
-        json.dump(payload, out, indent=2)
+        json.dump(payload(), out, indent=2)
         out.write("\n")
     elif args.format == "csv":
         if csv_writer is None:
             raise InvalidArgument(f"subcommand {args.command!r} has no CSV form")
         csv_writer(out)
     else:
-        for line in text_lines:
+        for line in text_lines():
             out.write(line + "\n")
 
 
@@ -93,31 +100,33 @@ def cmd_period(args) -> int:
     k = len(traj.steps) - 1
     payload = {"n": n, "k": k, "trajectory": traj.steps}
     lines = [f"k={k}", "trajectory: " + " -> ".join(map(str, traj.steps))]
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
 def cmd_table(args) -> int:
     table = divisor.period_table(args.limit)
-    payload = {
-        "limit": table.limit,
-        "rows": [
-            [n, int(table.divisor_of[n]), int(table.period_of[n])]
-            for n in range(2, table.limit + 1)
+    _emit(
+        args,
+        lambda: {
+            "limit": table.limit,
+            "rows": [
+                [n, int(table.divisor_of[n]), int(table.period_of[n])]
+                for n in range(2, table.limit + 1)
+            ],
+        },
+        lambda: [
+            f"table up to {table.limit}",
+            f"max period: {int(table.period_of[2:].max())}",
+            f"max d: {int(table.divisor_of[2:].max())}",
         ],
-    }
-    lines = [
-        f"table up to {table.limit}",
-        f"max period: {int(table.period_of[2:].max())}",
-        f"max d: {int(table.divisor_of[2:].max())}",
-    ]
-    _emit(args, payload, lines, lambda out: divisor.write_table_csv(table, out))
+        lambda out: divisor.write_table_csv(table, out),
+    )
     return 0
 
 
 def cmd_first(args) -> int:
-    table = divisor.period_table(args.limit)
-    occ = divisor.first_occurrences(table)
+    occ = divisor.first_occurrences(divisor.Sieve(args.limit))
     payload = {str(k): n for k, n in occ.items()}
     lines = [f"k={k}: first at n={n}" for k, n in occ.items()]
 
@@ -126,16 +135,15 @@ def cmd_first(args) -> int:
         for k, n in occ.items():
             out.write(f"{k},{n}\n")
 
-    _emit(args, payload, lines, csv_writer)
+    _emit(args, lambda: payload, lambda: lines, csv_writer)
     return 0
 
 
 def cmd_hist(args) -> int:
-    table = divisor.period_table(args.to)
-    h = analysis.histogram(table, getattr(args, "from"), args.to)
+    h = analysis.histogram(divisor.Sieve(args.to), getattr(args, "from"), args.to)
     payload = {"lo": h.lo, "hi": h.hi, "counts": {str(k): c for k, c in sorted(h.counts.items())}}
     lines = [f"k={k}: {c}" for k, c in sorted(h.counts.items())]
-    _emit(args, payload, lines, lambda out: analysis.write_histogram_csv(h, out))
+    _emit(args, lambda: payload, lambda: lines, lambda out: analysis.write_histogram_csv(h, out))
     return 0
 
 
@@ -143,7 +151,7 @@ def cmd_construct(args) -> int:
     source = _parse_value(args.n)
     result = construct.canonical_preimage(source)
     payload, lines = _preimage_payload("factored", source, result)
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
@@ -151,7 +159,7 @@ def cmd_naive(args) -> int:
     source = _parse_value(args.n)
     result = construct.naive_preimage(source)
     payload, lines = _preimage_payload("factored", source, result)
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
@@ -169,7 +177,7 @@ def cmd_min_divisors(args) -> int:
         f"min with {t} divisors: {result.to_text()}",
         f"decimal: {dec if dec is not None else '(beyond digit ceiling)'}",
     ]
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
@@ -196,16 +204,21 @@ def cmd_chain(args) -> int:
     if len(records) < args.max_k:
         lines.append(f"k={len(records) + 1}: not found within bound {args.bound}")
         payload["not_found_from"] = len(records) + 1
-    _emit(args, payload, lines, _chain_csv(records))
+    _emit(args, lambda: payload, lambda: lines, _chain_csv(records))
     return 0
 
 
 def cmd_verify_theorem1(args) -> int:
-    d = divisor.shared_table(args.sieve_bound).divisor_of[1:]
-    # least n with d(n) = v: scatter n from the top down, so the least lands last
-    first = np.zeros(int(d.max()) + 1, dtype=np.int32)
-    first[d[::-1]] = np.arange(d.size, 0, -1, dtype=np.int32)
-    sieve_min = {int(v): int(first[v]) for v in np.flatnonzero(first)}
+    # least n with d(n) = v: in each block scatter n from the top down, so
+    # the least lands last; a value keeps the first block it appears in
+    sieve_min: dict[int, int] = {}
+    sieve = divisor.Sieve(args.sieve_bound)
+    for start, d in sieve.divisor_blocks(1, sieve.limit):
+        first = np.zeros(int(d.max()) + 1, dtype=np.int64)
+        first[d[::-1]] = np.arange(start + d.size - 1, start - 1, -1)
+        values = np.flatnonzero(first)
+        for v, n in zip(values.tolist(), first[values].tolist()):
+            sieve_min.setdefault(v, n)
     rows = []
     for t in range(2, args.limit + 1):
         canon = construct.canonical_preimage(factorize(t))
@@ -242,7 +255,7 @@ def cmd_verify_theorem1(args) -> int:
                 f"{str(r['canonical_is_minimal']).lower()}\n"
             )
 
-    _emit(args, payload, lines, csv_writer)
+    _emit(args, lambda: payload, lambda: lines, csv_writer)
     return 0
 
 
@@ -251,7 +264,7 @@ def cmd_hcn(args) -> int:
         f = parse_factored(args.check)
         verdict = hcn.is_highly_composite(f, args.ceiling)
         payload = {"value": f.to_text(), "is_hcn": verdict}
-        _emit(args, payload, [f"{f.to_text()}: {'highly composite' if verdict else 'not highly composite'}"])
+        _emit(args, lambda: payload, lambda: [f"{f.to_text()}: {'highly composite' if verdict else 'not highly composite'}"])
         return 0
     if args.log10_limit is None:
         raise InvalidArgument("hcn needs either --log10-limit or --check")
@@ -269,35 +282,43 @@ def cmd_hcn(args) -> int:
         for r in records:
             out.write(f"{r.decimal},{r.divisor_count},{r.value.to_text()}\n")
 
-    _emit(args, payload, lines, csv_writer)
+    _emit(args, lambda: payload, lambda: lines, csv_writer)
     return 0
 
 
 def cmd_wigert(args) -> int:
     lo = getattr(args, "from")
-    table = divisor.period_table(args.to)
+    sieve = divisor.Sieve(args.to)
     params = analysis.BoundParams(epsilon=args.epsilon, threshold_n0=args.n0)
-    rep = analysis.wigert_scan(table, params, lo, args.to)
-    payload = {
-        "lo": rep.lo,
-        "hi": rep.hi,
-        "epsilon": params.epsilon,
-        "threshold_n0": params.threshold_n0,
-        "threshold_value": rep.threshold_value,
-        "max_ratio": rep.max_ratio,
-        "argmax_n": rep.argmax_n,
-        "argmax_d": rep.argmax_d,
-        "violations": [
-            {"n": n, "d": d, "ratio": r} for n, d, r in rep.violations
-        ],
-    }
-    lines = [
-        f"max r(n) over [{rep.lo}, {rep.hi}]: {rep.max_ratio:.9f} at n={rep.argmax_n} (d={rep.argmax_d})",
-        f"threshold ln2*(1+eps) = {rep.threshold_value:.9f}, n0 = {params.threshold_n0}",
-        f"violations above n0: {len(rep.violations)}",
-    ]
-    lines += [f"  n={n} d={d} r={r:.9f}" for n, d, r in rep.violations[:50]]
-    _emit(args, payload, lines, lambda out: analysis.write_wigert_csv(table, lo, args.to, out))
+
+    def payload():
+        rep = analysis.wigert_scan(sieve, params, lo, args.to)
+        return {
+            "lo": rep.lo,
+            "hi": rep.hi,
+            "epsilon": params.epsilon,
+            "threshold_n0": params.threshold_n0,
+            "threshold_value": rep.threshold_value,
+            "max_ratio": rep.max_ratio,
+            "argmax_n": rep.argmax_n,
+            "argmax_d": rep.argmax_d,
+            "violations": [
+                {"n": n, "d": d, "ratio": r} for n, d, r in rep.violations
+            ],
+        }
+
+    def lines():
+        rep = analysis.wigert_scan(sieve, params, lo, args.to)
+        return [
+            f"max r(n) over [{rep.lo}, {rep.hi}]: {rep.max_ratio:.9f} at n={rep.argmax_n} (d={rep.argmax_d})",
+            f"threshold ln2*(1+eps) = {rep.threshold_value:.9f}, n0 = {params.threshold_n0}",
+            f"violations above n0: {len(rep.violations)}",
+        ] + [f"  n={n} d={d} r={r:.9f}" for n, d, r in rep.violations[:50]]
+
+    def csv_writer(out):
+        analysis.write_wigert_csv(divisor.period_table(args.to), lo, args.to, out)
+
+    _emit(args, payload, lines, csv_writer)
     return 0
 
 
@@ -312,7 +333,7 @@ def cmd_increment(args) -> int:
         f"bound_holds = {rep.bound_holds}",
         f"hypothesis_holds = {rep.hypothesis_holds}",
     ]
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
@@ -320,9 +341,12 @@ def cmd_plot(args) -> int:
     lo = getattr(args, "from")
     table = divisor.period_table(args.to)
     rows = analysis.plot_data(table, lo, args.to)
-    payload = {"rows": [[n, k] for n, k in rows]}
-    lines = [f"{n},{k}" for n, k in rows]
-    _emit(args, payload, lines, lambda out: analysis.write_plot_csv(rows, out))
+    _emit(
+        args,
+        lambda: {"rows": [[n, k] for n, k in rows]},
+        lambda: [f"{n},{k}" for n, k in rows],
+        lambda out: analysis.write_plot_csv(rows, out),
+    )
     return 0
 
 
@@ -348,7 +372,7 @@ def cmd_conjecture(args) -> int:
         verdict = "?" if r.is_hcn is None else str(r.is_hcn).lower()
         flag = " [degenerate]" if r.degenerate else ""
         lines.append(f"k={r.period}: n={r.decimal} ln_n={r.ln_n:.4f} ratio={ratio} hcn={verdict}{flag}")
-    _emit(args, payload, lines, lambda out: hcn.write_conjecture_csv(rows, out))
+    _emit(args, lambda: payload, lambda: lines, lambda out: hcn.write_conjecture_csv(rows, out))
     return 0
 
 

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
 from .errors import InvalidArgument, ResourceLimit, UndefinedPeriod
-from .primes import factorize
+from .primes import SIEVE_CEILING, factorize
 
-TABLE_CEILING = 200_000_000
+# Entries per sieve block: 2 MB of int32 divisor counts, which stays in cache.
+BLOCK = 1 << 19
 
 
 def divisor_count_int(n: int) -> int:
@@ -44,7 +45,16 @@ class PeriodTable:
     period_of: np.ndarray
     divisor_of: np.ndarray
 
+    def blocks(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(start, d, k)`` views of the table, as ``Sieve.blocks`` yields them."""
+        _check_range(self.limit, lo, hi)
+        for start in range(lo, hi + 1, BLOCK):
+            end = min(start + BLOCK, hi + 1)
+            yield start, self.divisor_of[start:end], self.period_of[start:end]
 
+
+# Entries the period memo may hold before it starts over.
+_PERIOD_CACHE_MAX = 1 << 16
 _period_cache: dict[int, int] = {2: 1}
 
 
@@ -62,6 +72,8 @@ def period(n: int) -> int:
         return base if n != 2 else 1
     if m == 2:
         base = 0
+    if len(_period_cache) + len(walked) > _PERIOD_CACHE_MAX:
+        _period_cache.clear()
     for j, x in enumerate(walked):
         _period_cache[x] = base + len(walked) - j
     return _period_cache[n]
@@ -79,34 +91,92 @@ def trajectory(n: int) -> Trajectory:
             return Trajectory(n, steps)
 
 
-def period_table(limit: int) -> PeriodTable:
-    """Batch d(n) and k(n) for all 2 <= n <= limit.
+def _divisor_block(lo: int, hi: int) -> np.ndarray:
+    """d(n) for lo <= n <= hi by the divisor-pair sieve.
 
-    d is accumulated by the divisor-pair sieve (loop only to sqrt(limit)),
-    then periods resolve forward: d(n) < n for n >= 3, and d(n) stays tiny
-    (< 1000 for any n <= 2*10^8), so one short scalar pass over the small
-    values lets the rest vectorize as k[n] = 1 + k[d[n]].
+    Each pair i < n / i of divisors adds 2 and a square root adds 1, so the
+    loop runs only to sqrt(hi).  Index 0 of a block starting at 0 stays 0.
     """
+    d = np.zeros(hi - lo + 1, dtype=np.int32)
+    for i in range(1, math.isqrt(hi) + 1):
+        square = i * i
+        if square >= lo:
+            d[square - lo] += 1
+        d[max(square + i, -(-lo // i) * i) - lo :: i] += 2
+    return d
+
+
+def _period_by_divisor_count(k_head: np.ndarray) -> np.ndarray:
+    """``p[v]`` is k(n) for every n with d(n) = v <= the head: 1 + k(v), or 1 at v = 2.
+
+    Only n <= 1 has d(n) < 2, so ``p[0] = p[1] = 0`` pads n = 0 and 1,
+    which have no period.  A block's periods are then ``p[d]``.
+    """
+    p = 1 + k_head
+    p[:2] = 0
+    p[2] = 1
+    return p
+
+
+def _head_periods(head: int) -> np.ndarray:
+    """k(n) for 0 <= n <= head, from d alone.
+
+    Resolving the head against its own periods turns min(k, j) into
+    min(k, j + 1), because k(n) = 1 + k(d(n)); the fixed point is k.
+    """
+    d = _divisor_block(0, head)
+    k = np.zeros(head + 1, dtype=np.int16)
+    while True:
+        nxt = _period_by_divisor_count(k)[d]
+        if np.array_equal(nxt, k):
+            return k
+        k = nxt
+
+
+def _check_limit(limit: int) -> None:
     if limit < 2:
         raise InvalidArgument(f"table limit must be >= 2, got {limit}")
-    if limit > TABLE_CEILING:
-        raise ResourceLimit(f"table limit {limit} exceeds ceiling {TABLE_CEILING}")
+    if limit > SIEVE_CEILING:
+        raise ResourceLimit(f"table limit {limit} exceeds ceiling {SIEVE_CEILING}")
 
+
+def _check_range(limit: int, lo: int, hi: int) -> None:
+    if not 1 <= lo <= hi <= limit:
+        raise InvalidArgument(f"range [{lo}, {hi}] outside table limit {limit}")
+
+
+class Sieve:
+    """d(n) and k(n) for 1 <= n <= limit, sieved one block at a time.
+
+    Nothing is kept but the periods of n <= 2 * isqrt(limit) + 2, which
+    cover every lookup k(d(n)) because d(n) <= 2 * sqrt(n).
+    """
+
+    def __init__(self, limit: int):
+        _check_limit(limit)
+        self.limit = limit
+        self._period_by_d = _period_by_divisor_count(_head_periods(2 * math.isqrt(limit) + 2))
+
+    def divisor_blocks(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, d)`` for consecutive blocks of at most BLOCK values covering [lo, hi]."""
+        _check_range(self.limit, lo, hi)
+        for start in range(lo, hi + 1, BLOCK):
+            yield start, _divisor_block(start, min(start + BLOCK - 1, hi))
+
+    def blocks(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(start, d, k)`` for consecutive blocks covering [lo, hi]; k is 0 at n = 1."""
+        for start, d in self.divisor_blocks(lo, hi):
+            yield start, d, self._period_by_d[d]
+
+
+def period_table(limit: int) -> PeriodTable:
+    """Batch d(n) and k(n) for all 2 <= n <= limit: the blocks of ``Sieve(limit)`` joined."""
+    sieve = Sieve(limit)
     d = np.zeros(limit + 1, dtype=np.int32)
-    for i in range(1, math.isqrt(limit) + 1):
-        d[i * i] += 1
-        start = i * (i + 1)
-        if start <= limit:
-            d[start::i] += 2
-
     k = np.zeros(limit + 1, dtype=np.int16)
-    head = min(limit, max(int(d[2:].max()), 2))
-    for n in range(2, head + 1):
-        dn = int(d[n])
-        k[n] = 1 if dn == 2 else 1 + k[dn]
-    if limit > head:
-        dn = d[head + 1 :]
-        k[head + 1 :] = np.where(dn == 2, 1, 1 + k[dn])
+    for start, db, kb in sieve.blocks(1, limit):
+        d[start : start + db.size] = db
+        k[start : start + kb.size] = kb
     return PeriodTable(limit, k, d)
 
 
@@ -121,12 +191,13 @@ def shared_table(limit: int) -> PeriodTable:
     return _shared[limit]
 
 
-def first_occurrences(table: PeriodTable) -> dict[int, int]:
+def first_occurrences(table: PeriodTable | Sieve) -> dict[int, int]:
     """For each period value present, the least n attaining it."""
-    ks = table.period_of[2 : table.limit + 1]
-    out = {}
-    for kk in np.unique(ks):
-        out[int(kk)] = int(np.argmax(ks == kk)) + 2
+    out: dict[int, int] = {}
+    for start, _, k in table.blocks(2, table.limit):
+        for kk in np.flatnonzero(np.bincount(k)).tolist():
+            if kk not in out:
+                out[kk] = start + int(np.argmax(k == kk))
     return dict(sorted(out.items()))
 
 

@@ -1,12 +1,18 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divperiod
 from divperiod import (
     BoundParams,
     InvalidArgument,
+    Sieve,
     factorize,
     histogram,
     max_order_ratio,
@@ -21,6 +27,7 @@ from divperiod.analysis import (
     write_plot_csv,
     write_wigert_csv,
 )
+from divperiod.divisor import BLOCK
 
 LN2 = math.log(2)
 
@@ -152,3 +159,80 @@ def test_csv_writers(table_100k):
     lines = buf.getvalue().splitlines()
     assert lines[0] == "n,d,ratio"
     assert len(lines) == 9
+
+
+def _wigert_reference(d_all, params, lo, hi):
+    """The scan over the whole range at once, as one array expression."""
+    n = np.arange(lo, hi + 1, dtype=np.float64)
+    d = d_all[lo : hi + 1].astype(np.float64)
+    r = np.log(d) * np.log(np.log(n)) / np.log(n)
+    imax = int(np.argmax(r))
+    mask = (np.arange(lo, hi + 1) >= params.threshold_n0) & (r > LN2 * (1.0 + params.epsilon))
+    violations = [(int(lo + i), int(d_all[lo + i]), float(r[i])) for i in np.flatnonzero(mask)]
+    return float(r[imax]), lo + imax, int(d_all[lo + imax]), violations
+
+
+RANGES = [(3, 5_000_000), (BLOCK - 1, BLOCK + 1), (BLOCK + 1, 3 * BLOCK + 7), (10**6, 5_000_000)]
+
+
+@pytest.fixture(scope="module")
+def sieve_5m():
+    return Sieve(5_000_000)
+
+
+@pytest.mark.parametrize("lo,hi", RANGES)
+def test_histogram_sieve_matches_table(table_5m, sieve_5m, lo, hi):
+    h = histogram(sieve_5m, lo, hi)
+    assert h == histogram(table_5m, lo, hi)
+    bins = np.bincount(table_5m.period_of[lo : hi + 1])
+    assert h.counts == {k: int(c) for k, c in enumerate(bins) if c > 0}
+
+
+@pytest.mark.parametrize(
+    "lo,hi,n0",
+    [(3, 5_000_000, 10_000), (BLOCK - 1, BLOCK + 1, 1), (10**6, 5_000_000, 10**6 + BLOCK + 12_345)],
+)
+def test_wigert_scan_sieve_matches_table(table_5m, sieve_5m, lo, hi, n0):
+    params = BoundParams(threshold_n0=n0)
+    rep = wigert_scan(sieve_5m, params, lo, hi)
+    assert rep == wigert_scan(table_5m, params, lo, hi)
+    # bit-identical to the single-array scan, not merely close
+    assert (rep.max_ratio, rep.argmax_n, rep.argmax_d, rep.violations) == _wigert_reference(
+        table_5m.divisor_of, params, lo, hi
+    )
+
+
+def test_wigert_scan_maximum_in_later_block(table_5m, sieve_5m):
+    lo, hi = 10**6, 5_000_000
+    rep = wigert_scan(sieve_5m, BoundParams(), lo, hi)
+    assert rep.argmax_n >= lo + BLOCK
+    assert rep.argmax_n == _wigert_reference(table_5m.divisor_of, BoundParams(), lo, hi)[1]
+
+
+def test_wigert_scan_threshold_mid_block(table_5m, sieve_5m):
+    lo, hi = 10**6, 5_000_000
+    n0 = lo + BLOCK + BLOCK // 2
+    rep = wigert_scan(sieve_5m, BoundParams(threshold_n0=n0), lo, hi)
+    assert rep.violations and rep.violations[0][0] >= n0
+    below = wigert_scan(sieve_5m, BoundParams(threshold_n0=lo), lo, hi).violations
+    assert rep.violations == [v for v in below if v[0] >= n0]
+    assert len(rep.violations) < len(below)
+
+
+def test_wigert_cli_memory_is_bounded():
+    """The scan streams blocks: 2*10^7 integers once took 907 MB."""
+    path = [str(Path(divperiod.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    script = (
+        "import resource, sys\n"
+        "from divperiod.cli import main\n"
+        "code = main(['wigert', '--from', '3', '--to', '20000000'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=env, timeout=300, check=True,
+    )
+    code, maxrss_kb = map(int, proc.stderr.split()[-2:])
+    assert code == 0
+    assert maxrss_kb < 400 * 1024

@@ -17,6 +17,7 @@ from divperiod import (
 )
 from divperiod import PeriodTable, construct
 from divperiod.cli import main
+from divperiod.divisor import BLOCK
 from divperiod.hcn import max_divisor_count
 
 L = FactoredInt(((2, 6), (3, 4), (5, 2), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1)))
@@ -232,8 +233,8 @@ def test_chain_to_seven_runs_oracle_at_most_twice(oracle_runs):
     assert len(oracle_runs) <= 2
 
 
-def test_verify_theorem1_sieve_min(capsys):
-    bound = 100_000
+@pytest.mark.parametrize("bound", [100_000, 3 * BLOCK + 7])
+def test_verify_theorem1_sieve_min(capsys, bound):
     d = period_table(bound).divisor_of[1:]
     values, first_idx = np.unique(d, return_index=True)
     expected = {int(v): int(i) + 1 for v, i in zip(values, first_idx)}

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divperiod import (
     InvalidArgument,
+    Sieve,
     UndefinedPeriod,
     divisor_count_int,
     first_occurrences,
@@ -13,7 +15,8 @@ from divperiod import (
     period_table,
     trajectory,
 )
-from divperiod.divisor import write_table_csv
+from divperiod import divisor
+from divperiod.divisor import BLOCK, write_table_csv
 
 from conftest import k_naive
 
@@ -122,3 +125,83 @@ def test_csv_export():
     assert lines[1] == "2,2,1"
     assert lines[-1] == "12,6,4"
     assert len(lines) == 12
+
+
+# Limits and lower ends on both sides of every block edge the sieve has.
+EDGES = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+
+
+@pytest.fixture(scope="module")
+def plain_sieve():
+    """d and k to 3 * BLOCK + 7 by one increment per divisor, periods resolved n by n."""
+    limit = max(EDGES)
+    d = np.zeros(limit + 1, dtype=np.int32)
+    for j in range(1, limit + 1):
+        d[j::j] += 1
+    dl = d.tolist()
+    k = [0] * (limit + 1)
+    for n in range(2, limit + 1):
+        k[n] = 1 if dl[n] == 2 else 1 + k[dl[n]]
+    return d, np.array(k, dtype=np.int16)
+
+
+def _joined(sieve, lo, hi):
+    starts, ds, ks = zip(*sieve.blocks(lo, hi))
+    assert starts == tuple(range(lo, hi + 1, BLOCK))
+    assert all(d.size == k.size <= BLOCK for d, k in zip(ds, ks))
+    return np.concatenate(ds), np.concatenate(ks)
+
+
+@pytest.mark.parametrize("limit", EDGES[1:])
+def test_sieve_blocks_match_plain_sieve(plain_sieve, limit):
+    d_ref, k_ref = plain_sieve
+    sieve = Sieve(limit)
+    assert sieve.limit == limit
+    for lo in EDGES:
+        if lo > limit:
+            continue
+        d, k = _joined(sieve, lo, limit)
+        assert d.dtype == np.int32 and k.dtype == np.int16
+        assert np.array_equal(d, d_ref[lo : limit + 1])
+        assert np.array_equal(k, k_ref[lo : limit + 1])
+    table = period_table(limit)
+    assert np.array_equal(table.divisor_of, d_ref[: limit + 1])
+    assert np.array_equal(table.period_of, k_ref[: limit + 1])
+
+
+@pytest.fixture(scope="module")
+def sieve_3_blocks():
+    return Sieve(3 * BLOCK)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3 * BLOCK), st.integers(1, 3 * BLOCK))
+def test_sieve_blocks_any_range(plain_sieve, sieve_3_blocks, a, b):
+    lo, hi = min(a, b), max(a, b)
+    d, k = _joined(sieve_3_blocks, lo, hi)
+    assert np.array_equal(d, plain_sieve[0][lo : hi + 1])
+    assert np.array_equal(k, plain_sieve[1][lo : hi + 1])
+
+
+def test_sieve_rejects_bad_limit_and_range():
+    with pytest.raises(InvalidArgument):
+        Sieve(1)
+    sieve = Sieve(100)
+    for lo, hi in [(0, 10), (5, 4), (2, 101)]:
+        with pytest.raises(InvalidArgument):
+            list(sieve.blocks(lo, hi))
+
+
+def test_table_and_sieve_first_occurrences_agree(table_5m):
+    assert first_occurrences(Sieve(5_000_000)) == first_occurrences(table_5m)
+    # 5040 is the first period-6 value; limits on both sides of it
+    assert first_occurrences(Sieve(5039)) == {1: 2, 2: 4, 3: 6, 4: 12, 5: 60}
+    assert first_occurrences(Sieve(5040))[6] == 5040
+
+
+def test_period_cache_is_bounded():
+    top = 2 + divisor._PERIOD_CACHE_MAX + 5_000
+    table = period_table(top)
+    for n in range(2, top):
+        assert period(n) == int(table.period_of[n])
+        assert len(divisor._period_cache) <= divisor._PERIOD_CACHE_MAX
