@@ -233,8 +233,7 @@ def test_chain_to_seven_runs_oracle_at_most_twice(oracle_runs):
     assert len(oracle_runs) <= 2
 
 
-@pytest.mark.parametrize("bound", [100_000, 3 * BLOCK + 7])
-def test_verify_theorem1_sieve_min(capsys, bound):
+def _check_verify_theorem1_sieve_min(capsys, bound):
     d = period_table(bound).divisor_of[1:]
     values, first_idx = np.unique(d, return_index=True)
     expected = {int(v): int(i) + 1 for v, i in zip(values, first_idx)}
@@ -247,3 +246,11 @@ def test_verify_theorem1_sieve_min(capsys, bound):
     for row in rows:
         t, _, _, smin, _ = row.split(",")
         assert smin == str(expected.get(int(t), ""))
+
+
+def test_verify_theorem1_sieve_min(capsys):
+    _check_verify_theorem1_sieve_min(capsys, 100_000)
+
+
+def test_verify_theorem1_sieve_min_across_blocks(capsys):
+    _check_verify_theorem1_sieve_min(capsys, 3 * BLOCK + 7)
