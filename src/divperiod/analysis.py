@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
 from .construct import canonical_preimage
-from .divisor import PeriodTable, Sieve
+from .divisor import ROWS_PER_WRITE, PeriodTable, Sieve, write_rows
 from .errors import InvalidArgument
 from .factored import FactoredInt
 from .hcn import LN2
@@ -134,12 +134,30 @@ def increment_report_json(rep: IncrementReport) -> dict:
     }
 
 
-def plot_data(table: PeriodTable, lo: int, hi: int) -> list[tuple[int, int]]:
+class PlotRows:
+    """The (n, k) rows over [lo, hi], read from the table's blocks each time they are iterated."""
+
+    def __init__(self, table: PeriodTable | Sieve, lo: int, hi: int):
+        self.table, self.lo, self.hi = table, lo, hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo + 1
+
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, k)`` for consecutive blocks covering [lo, hi]."""
+        for start, _, k in self.table.blocks(self.lo, self.hi):
+            yield start, k
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for start, k in self.blocks():
+            yield from zip(range(start, start + k.size), k.tolist())
+
+
+def plot_data(table: PeriodTable | Sieve, lo: int, hi: int) -> PlotRows:
     """(n, k) rows for external plotting."""
     if not 2 <= lo <= hi <= table.limit:
         raise InvalidArgument(f"range [{lo}, {hi}] outside table limit {table.limit}")
-    k = table.period_of
-    return [(n, int(k[n])) for n in range(lo, hi + 1)]
+    return PlotRows(table, lo, hi)
 
 
 def write_histogram_csv(hist: Histogram, out: TextIO) -> None:
@@ -148,17 +166,27 @@ def write_histogram_csv(hist: Histogram, out: TextIO) -> None:
         out.write(f"{k},{hist.counts[k]}\n")
 
 
-def write_wigert_csv(table: PeriodTable, lo: int, hi: int, out: TextIO) -> None:
-    """Full ``n,d,ratio`` rows over the scanned range."""
+def write_wigert_csv(table: PeriodTable | Sieve, lo: int, hi: int, out: TextIO) -> None:
+    """Full ``n,d,ratio`` rows over the scanned range.
+
+    Each ratio is ``max_order_ratio(n, d)`` to the bit: the logs come from
+    ``math.log`` and numpy does only the product and the quotient, in the
+    same order.  ``np.log`` may differ from libm in the last place.
+    """
     if lo < 3 or not lo <= hi <= table.limit:
         raise InvalidArgument(f"range [{lo}, {hi}] invalid for table limit {table.limit}")
-    d = table.divisor_of
+    # log_of[v] = ln v for every divisor count, as d(n) <= 2 * sqrt(n)
+    log_of = np.array([0.0, *map(math.log, range(1, 2 * math.isqrt(hi) + 3))])
     out.write("n,d,ratio\n")
-    for n in range(lo, hi + 1):
-        out.write(f"{n},{d[n]},{max_order_ratio(n, int(d[n])):.9f}\n")
+    for start, d, _ in table.blocks(lo, hi):
+        for s in range(0, d.size, ROWS_PER_WRITE):
+            part = d[s : s + ROWS_PER_WRITE]
+            ln_n = list(map(math.log, range(start + s, start + s + part.size)))
+            ratio = log_of[part] * np.array(list(map(math.log, ln_n))) / np.array(ln_n)
+            write_rows(out, "%d,%d,%.9f\n", start + s, part, ratio)
 
 
-def write_plot_csv(rows: list[tuple[int, int]], out: TextIO) -> None:
+def write_plot_csv(rows: PlotRows, out: TextIO) -> None:
     out.write("n,k\n")
-    for n, k in rows:
-        out.write(f"{n},{k}\n")
+    for start, k in rows.blocks():
+        write_rows(out, "%d,%d\n", start, k)

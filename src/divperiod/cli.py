@@ -48,6 +48,18 @@ def _int_arg(text: str, what: str) -> int:
     return n
 
 
+def _write(
+    args,
+    json_writer: Callable[[TextIO], None],
+    text_writer: Callable[[TextIO], None],
+    csv_writer: Callable[[TextIO], None] | None = None,
+) -> None:
+    """Run only the writer of the form ``args.format`` asks for."""
+    if args.format == "csv" and csv_writer is None:
+        raise InvalidArgument(f"subcommand {args.command!r} has no CSV form")
+    {"json": json_writer, "csv": csv_writer, "text": text_writer}[args.format](args._out)
+
+
 def _emit(
     args,
     payload: Callable[[], dict],
@@ -55,17 +67,37 @@ def _emit(
     csv_writer: Callable[[TextIO], None] | None = None,
 ) -> None:
     """Build and write only the form ``args.format`` asks for."""
-    out = args._out
-    if args.format == "json":
+
+    def json_writer(out):
         json.dump(payload(), out, indent=2)
         out.write("\n")
-    elif args.format == "csv":
-        if csv_writer is None:
-            raise InvalidArgument(f"subcommand {args.command!r} has no CSV form")
-        csv_writer(out)
-    else:
+
+    def text_writer(out):
         for line in text_lines():
             out.write(line + "\n")
+
+    _write(args, json_writer, text_writer, csv_writer)
+
+
+def _write_json_rows(out: TextIO, fields: dict, blocks) -> None:
+    """``json.dump({**fields, "rows": rows}, out, indent=2)`` and a newline, streamed.
+
+    ``blocks`` yields ``(start, column, ...)``; row i of a block is
+    ``[start + i, column[i], ...]``.  The bytes are those of ``json.dump``
+    for at least one row of integers.
+    """
+    out.write("{\n")
+    for key, value in fields.items():
+        out.write(f"  {json.dumps(key)}: {json.dumps(value)},\n")
+    out.write('  "rows": [')
+    row, sep = None, "\n"
+    for start, *columns in blocks:
+        if row is None:
+            row = "    [\n" + ",\n".join(["      %d"] * (1 + len(columns))) + "\n    ]"
+            divisor.write_rows(out, sep + row, start, *(c[:1] for c in columns))
+            start, columns, sep = start + 1, [c[1:] for c in columns], ",\n"
+        divisor.write_rows(out, sep + row, start, *columns)
+    out.write("\n  ]\n}\n")
 
 
 def _safe_decimal(f: FactoredInt) -> str | None:
@@ -105,22 +137,19 @@ def cmd_period(args) -> int:
 
 
 def cmd_table(args) -> int:
-    table = divisor.period_table(args.limit)
-    _emit(
+    sieve = divisor.Sieve(args.limit)
+
+    def text_writer(out):
+        top_k = top_d = 0
+        for _, d, k in sieve.blocks(2, sieve.limit):
+            top_d, top_k = max(top_d, int(d.max())), max(top_k, int(k.max()))
+        out.write(f"table up to {sieve.limit}\nmax period: {top_k}\nmax d: {top_d}\n")
+
+    _write(
         args,
-        lambda: {
-            "limit": table.limit,
-            "rows": [
-                [n, int(table.divisor_of[n]), int(table.period_of[n])]
-                for n in range(2, table.limit + 1)
-            ],
-        },
-        lambda: [
-            f"table up to {table.limit}",
-            f"max period: {int(table.period_of[2:].max())}",
-            f"max d: {int(table.divisor_of[2:].max())}",
-        ],
-        lambda out: divisor.write_table_csv(table, out),
+        lambda out: _write_json_rows(out, {"limit": sieve.limit}, sieve.blocks(2, sieve.limit)),
+        text_writer,
+        lambda out: divisor.write_table_csv(sieve, out),
     )
     return 0
 
@@ -316,7 +345,7 @@ def cmd_wigert(args) -> int:
         ] + [f"  n={n} d={d} r={r:.9f}" for n, d, r in rep.violations[:50]]
 
     def csv_writer(out):
-        analysis.write_wigert_csv(divisor.period_table(args.to), lo, args.to, out)
+        analysis.write_wigert_csv(sieve, lo, args.to, out)
 
     _emit(args, payload, lines, csv_writer)
     return 0
@@ -338,13 +367,16 @@ def cmd_increment(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    lo = getattr(args, "from")
-    table = divisor.period_table(args.to)
-    rows = analysis.plot_data(table, lo, args.to)
-    _emit(
+    rows = analysis.plot_data(divisor.Sieve(args.to), getattr(args, "from"), args.to)
+
+    def text_writer(out):
+        for start, k in rows.blocks():
+            divisor.write_rows(out, "%d,%d\n", start, k)
+
+    _write(
         args,
-        lambda: {"rows": [[n, k] for n, k in rows]},
-        lambda: [f"{n},{k}" for n, k in rows],
+        lambda out: _write_json_rows(out, {}, rows.blocks()),
+        text_writer,
         lambda out: analysis.write_plot_csv(rows, out),
     )
     return 0

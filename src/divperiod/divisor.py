@@ -201,12 +201,34 @@ def first_occurrences(table: PeriodTable | Sieve) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def write_table_csv(table: PeriodTable, out: TextIO, lo: int = 2, hi: int | None = None) -> None:
+# Rows formatted per ``write``: one joined batch stays a few MB of text.
+ROWS_PER_WRITE = 1 << 16
+
+
+def write_rows(out: TextIO, row: str, start: int, *columns: np.ndarray) -> None:
+    """Write ``row % (n, c0[i], c1[i], ...)`` for n = start + i, every i.
+
+    Each batch of at most ROWS_PER_WRITE rows is one ``%`` over one tuple,
+    so no row is formatted on its own.
+    """
+    width = 1 + len(columns)
+    size = columns[0].size
+    for s in range(0, size, ROWS_PER_WRITE):
+        e = min(s + ROWS_PER_WRITE, size)
+        cells: list = [0] * ((e - s) * width)
+        cells[::width] = range(start + s, start + e)
+        for j, column in enumerate(columns, 1):
+            cells[j::width] = column[s:e].tolist()
+        out.write(row * (e - s) % tuple(cells))
+
+
+def write_table_csv(
+    table: PeriodTable | Sieve, out: TextIO, lo: int = 2, hi: int | None = None
+) -> None:
     """Export rows ``n,d,k``."""
     hi = table.limit if hi is None else hi
     if not 2 <= lo <= hi <= table.limit:
         raise InvalidArgument(f"range [{lo}, {hi}] outside table limit {table.limit}")
     out.write("n,d,k\n")
-    d, k = table.divisor_of, table.period_of
-    for n in range(lo, hi + 1):
-        out.write(f"{n},{d[n]},{k[n]}\n")
+    for start, d, k in table.blocks(lo, hi):
+        write_rows(out, "%d,%d,%d\n", start, d, k)

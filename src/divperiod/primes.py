@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -144,14 +145,28 @@ def build_table(limit: int) -> PrimeTable:
         raise ResourceLimit(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
     dtype = np.int32 if limit < 2**31 else np.int64
     spf = np.zeros(limit + 1, dtype=dtype)
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            seg = spf[i * i :: i]
-            seg[seg == 0] = i
-    # every untouched index >= 2 is prime
-    primes = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
-    spf[primes] = primes
+    # i is prime when no smaller prime has marked it by the time it comes up
+    _mark_least_factors(spf, 2, (i for i in range(2, math.isqrt(limit) + 1) if spf[i] == 0))
+    primes = _unmarked_are_prime(spf, 2)
     return PrimeTable(limit, primes, spf)
+
+
+def _mark_least_factors(spf: np.ndarray, lo: int, primes: Iterable[int]) -> None:
+    """Give each n >= lo in ``spf`` still 0 the first of ``primes`` that divides it.
+
+    ``primes`` must rise and include every prime up to sqrt(len(spf) - 1);
+    each p marks only its multiples from p * p on.
+    """
+    for p in primes:
+        seg = spf[max(p * p, -(-lo // p) * p) :: p]
+        seg[seg == 0] = p
+
+
+def _unmarked_are_prime(spf: np.ndarray, lo: int) -> np.ndarray:
+    """The indices >= lo that no prime marked, each made its own least factor."""
+    primes = np.flatnonzero(spf[lo:] == 0).astype(np.int64) + lo
+    spf[primes] = primes
+    return primes
 
 
 # factorize trial-divides larger n by these primes before it runs rho
@@ -194,15 +209,39 @@ _table: PrimeTable | None = None
 def _default_table(minimum: int) -> PrimeTable:
     """A table reaching ``minimum``: the first 10^6, then doubling up to 10^7.
 
-    Only a caller's own ``minimum`` takes it past the 10^7 table path.
+    Growth below 10^7 sieves only the new range, into one buffer that
+    reaches 10^7.  Only a caller's own ``minimum`` takes it past the 10^7
+    table path, with a table of its own.
     """
     global _table
-    if _table is None or _table.limit < minimum:
-        grown = 1_000_000 if _table is None else 2 * _table.limit
-        limit = max(minimum, min(grown, _TABLE_PATH_LIMIT))
-        _table = None  # free the old table before the next one is built
-        _table = build_table(limit)
+    if _table is None:
+        _table = build_table(max(minimum, 1_000_000))
+    elif _table.limit < minimum:
+        limit = max(minimum, min(2 * _table.limit, _TABLE_PATH_LIMIT))
+        if limit <= _TABLE_PATH_LIMIT:
+            _table = _extend_table(_table, limit)
+        else:
+            _table = None  # free the old table before the next one is built
+            _table = build_table(limit)
     return _table
+
+
+def _extend_table(table: PrimeTable, limit: int) -> PrimeTable:
+    """``table`` sieved on to ``limit`` <= 10^7 with the primes it already holds.
+
+    Its least factors live in one 10^7 buffer, allocated at the first
+    growth; pages the sieve has not reached yet stay unallocated.
+    """
+    buffer = table.smallest_factor.base
+    if buffer is None or buffer.size <= limit:
+        buffer = np.zeros(_TABLE_PATH_LIMIT + 1, dtype=np.int32)
+        buffer[: table.limit + 1] = table.smallest_factor
+    spf = buffer[: limit + 1]
+    # table.limit >= 10^6 > sqrt(10^7), so it holds every prime the new range needs
+    roots = table.primes[: np.searchsorted(table.primes, math.isqrt(limit), side="right")]
+    _mark_least_factors(spf, table.limit + 1, roots.tolist())
+    fresh = _unmarked_are_prime(spf, table.limit + 1)
+    return PrimeTable(limit, np.concatenate((table.primes, fresh)), spf)
 
 
 def _rho(n: int) -> int:

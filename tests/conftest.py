@@ -32,3 +32,18 @@ def k_naive(n: int) -> int:
         k += 1
         if n == 2:
             return k
+
+
+def first_difference(got: str, want: str) -> str | None:
+    """None when the texts are equal, else where they first differ.
+
+    Asserting ``first_difference(a, b) is None`` keeps a failure report
+    short: pytest's own diff of two texts of megabytes takes minutes.
+    """
+    if got == want:
+        return None
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (a, b) in enumerate(zip(got_lines, want_lines)):
+        if a != b:
+            return f"line {i + 1}: {a!r} != {b!r}"
+    return f"{len(got_lines)} lines != {len(want_lines)} lines"

@@ -29,6 +29,8 @@ from divperiod.analysis import (
 )
 from divperiod.divisor import BLOCK
 
+from conftest import first_difference
+
 LN2 = math.log(2)
 
 
@@ -236,3 +238,32 @@ def test_wigert_cli_memory_is_bounded():
     code, maxrss_kb = map(int, proc.stderr.split()[-2:])
     assert code == 0
     assert maxrss_kb < 400 * 1024
+
+
+# Both sides of the first block edge and past the second, lower ends
+# mid-block; and a short range whose d(12) = 6 comes close to 2 * sqrt(12).
+EXPORT_RANGES = [(3, 12), (3, BLOCK - 1), (300_001, BLOCK + 1), (300_001, 2 * BLOCK + 5)]
+
+
+@pytest.mark.parametrize("lo,hi", EXPORT_RANGES)
+def test_write_wigert_csv_matches_max_order_ratio(table_5m, lo, hi):
+    d = table_5m.divisor_of.tolist()
+    expected = "n,d,ratio\n" + "".join(
+        f"{n},{d[n]},{max_order_ratio(n, d[n]):.9f}\n" for n in range(lo, hi + 1)
+    )
+    for source in (Sieve(hi), table_5m):
+        buf = io.StringIO()
+        write_wigert_csv(source, lo, hi, buf)
+        assert first_difference(buf.getvalue(), expected) is None
+
+
+@pytest.mark.parametrize("lo,hi", EXPORT_RANGES)
+def test_plot_data_streams_sieve_rows(table_5m, lo, hi):
+    expected = list(zip(range(lo, hi + 1), table_5m.period_of[lo : hi + 1].tolist()))
+    rows = plot_data(Sieve(hi), lo, hi)
+    assert len(rows) == len(expected)
+    assert list(rows) == expected
+    buf = io.StringIO()
+    write_plot_csv(rows, buf)
+    text = "n,k\n" + "".join(f"{n},{k}\n" for n, k in expected)
+    assert first_difference(buf.getvalue(), text) is None

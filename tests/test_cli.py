@@ -8,6 +8,9 @@ import pytest
 
 import divperiod
 from divperiod.cli import main
+from divperiod.divisor import BLOCK
+
+from conftest import first_difference
 
 
 def run(capsys, *argv):
@@ -231,3 +234,62 @@ def test_closed_stdout_ends_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+def _subprocess_env():
+    path = [str(Path(divperiod.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+@pytest.mark.parametrize("limit", [BLOCK - 1, BLOCK + 1])
+def test_table_json_matches_json_dump(table_5m, capsys, limit):
+    d = table_5m.divisor_of[: limit + 1].tolist()
+    k = table_5m.period_of[: limit + 1].tolist()
+    payload = {"limit": limit, "rows": [[n, d[n], k[n]] for n in range(2, limit + 1)]}
+    code, out, _ = run(capsys, "table", "--limit", str(limit), "--format", "json")
+    assert code == 0
+    assert first_difference(out, json.dumps(payload, indent=2) + "\n") is None
+
+
+@pytest.mark.parametrize("limit", [BLOCK - 1, BLOCK + 1, 2 * BLOCK + 5])
+def test_table_text_maxima(table_5m, capsys, limit):
+    # up to 2 * BLOCK + 5 the largest d, 240 at n = 720720, lies in the second block
+    top_d = int(table_5m.divisor_of[2 : limit + 1].max())
+    top_k = int(table_5m.period_of[2 : limit + 1].max())
+    code, out, _ = run(capsys, "table", "--limit", str(limit))
+    assert code == 0
+    assert out == f"table up to {limit}\nmax period: {top_k}\nmax d: {top_d}\n"
+
+
+@pytest.mark.parametrize("lo,hi", [(2, BLOCK - 1), (300_001, BLOCK + 1), (300_001, 2 * BLOCK + 5)])
+def test_plot_forms_match_whole_table(table_5m, capsys, lo, hi):
+    rows = list(zip(range(lo, hi + 1), table_5m.period_of[lo : hi + 1].tolist()))
+    text = "".join(f"{n},{k}\n" for n, k in rows)
+    argv = ("plot", "--from", str(lo), "--to", str(hi), "--format")
+    assert first_difference(run(capsys, *argv, "text")[1], text) is None
+    assert first_difference(run(capsys, *argv, "csv")[1], "n,k\n" + text) is None
+    expected = json.dumps({"rows": [[n, k] for n, k in rows]}, indent=2) + "\n"
+    assert first_difference(run(capsys, *argv, "json")[1], expected) is None
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_table_json_memory_is_bounded():
+    """The JSON rows are streamed: 2*BLOCK+5 rows once took 179 MB.
+
+    The peak is the child's VmHWM: ``ru_maxrss`` would also count the
+    peak of this test process, which it inherits across fork and exec.
+    """
+    script = (
+        "import re, sys\n"
+        "from divperiod.cli import main\n"
+        f"code = main(['table', '--limit', '{2 * BLOCK + 5}', '--format', 'json'])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(code, re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=_subprocess_env(), timeout=300, check=True,
+    )
+    code, peak_kb = map(int, proc.stderr.split()[-2:])
+    assert code == 0
+    assert peak_kb < 120 * 1024

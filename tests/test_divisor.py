@@ -16,9 +16,9 @@ from divperiod import (
     trajectory,
 )
 from divperiod import divisor
-from divperiod.divisor import BLOCK, write_table_csv
+from divperiod.divisor import BLOCK, ROWS_PER_WRITE, write_rows, write_table_csv
 
-from conftest import k_naive
+from conftest import first_difference, k_naive
 
 
 def test_divisor_count_int():
@@ -205,3 +205,33 @@ def test_period_cache_is_bounded():
     for n in range(2, top):
         assert period(n) == int(table.period_of[n])
         assert len(divisor._period_cache) <= divisor._PERIOD_CACHE_MAX
+
+
+# Ranges for the streamed writers: both sides of the first block edge and
+# past the second, with lower ends at the start and in the middle of a block.
+EXPORT_RANGES = [(2, BLOCK - 1), (2, BLOCK + 1), (300_001, BLOCK + 1), (300_001, 2 * BLOCK + 5)]
+
+
+@pytest.mark.parametrize("lo,hi", EXPORT_RANGES)
+def test_write_table_csv_matches_row_by_row(table_5m, lo, hi):
+    d, k = table_5m.divisor_of.tolist(), table_5m.period_of.tolist()
+    # one f-string per row, as the writer once formatted them
+    expected = "n,d,k\n" + "".join(f"{n},{d[n]},{k[n]}\n" for n in range(lo, hi + 1))
+    for source in (Sieve(hi), table_5m):
+        buf = io.StringIO()
+        write_table_csv(source, buf, lo, hi)
+        assert first_difference(buf.getvalue(), expected) is None
+
+
+class _Writes(list):
+    write = list.append
+
+
+def test_write_rows_batches():
+    size = 2 * ROWS_PER_WRITE + 3
+    d = np.arange(size, dtype=np.int32) % 7
+    out = _Writes()
+    write_rows(out, "%d:%d\n", 10, d)
+    assert [w.count("\n") for w in out] == [ROWS_PER_WRITE, ROWS_PER_WRITE, 3]
+    expected = "".join(f"{10 + i}:{v}\n" for i, v in enumerate(d.tolist()))
+    assert first_difference("".join(out), expected) is None

@@ -200,6 +200,24 @@ def test_default_table_growth_capped():
         primes._table = saved
 
 
+def test_default_table_grows_in_place(monkeypatch):
+    whole = build_table(10**7)
+    builds = []
+    monkeypatch.setattr(
+        primes, "build_table", lambda limit: builds.append(limit) or build_table(limit)
+    )
+    monkeypatch.setattr(primes, "_table", None)
+    first = primes._default_table(2)
+    # the first table is a plain 10^6 build, with no room for growth
+    assert first.smallest_factor.size == 10**6 + 1 and first.smallest_factor.base is None
+    for n in (10**6 + 1, 2 * 10**6 + 1, 4 * 10**6 + 1, 8 * 10**6 + 1):
+        t = primes._default_table(n)
+        assert np.array_equal(t.smallest_factor, whole.smallest_factor[: t.limit + 1])
+        assert np.array_equal(t.primes, whole.primes[whole.primes <= t.limit])
+    assert t.limit == 10**7
+    assert builds == [10**6]
+
+
 def test_is_prime_rejects_a014233():
     for n in A014233:
         assert not is_prime(n)
