@@ -107,22 +107,6 @@ def _safe_decimal(f: FactoredInt) -> str | None:
         return None
 
 
-def _preimage_payload(name: str, source: FactoredInt, result: FactoredInt):
-    dec = _safe_decimal(result)
-    payload = {
-        "input": source.to_text(),
-        name: result.to_text(),
-        "decimal": dec,
-        "digits": math.floor(result.log10_value()) + 1,
-        "divisor_count": str(result.divisor_count()),
-    }
-    lines = [f"{name}: {result.to_text()}"]
-    lines.append(f"decimal: {dec if dec is not None else '(beyond digit ceiling)'}")
-    lines.append(f"digits: {payload['digits']}")
-    lines.append(f"d(result) = {payload['divisor_count']}")
-    return payload, lines
-
-
 # --- subcommand handlers ---
 
 
@@ -176,18 +160,23 @@ def cmd_hist(args) -> int:
     return 0
 
 
-def cmd_construct(args) -> int:
+def cmd_preimage(args) -> int:
     source = _parse_value(args.n)
-    result = construct.canonical_preimage(source)
-    payload, lines = _preimage_payload("factored", source, result)
-    _emit(args, lambda: payload, lambda: lines)
-    return 0
-
-
-def cmd_naive(args) -> int:
-    source = _parse_value(args.n)
-    result = construct.naive_preimage(source)
-    payload, lines = _preimage_payload("factored", source, result)
+    result = args.preimage(source)
+    dec = _safe_decimal(result)
+    payload = {
+        "input": source.to_text(),
+        "factored": result.to_text(),
+        "decimal": dec,
+        "digits": math.floor(result.log10_value()) + 1,
+        "divisor_count": str(result.divisor_count()),
+    }
+    lines = [
+        f"factored: {result.to_text()}",
+        f"decimal: {dec if dec is not None else '(beyond digit ceiling)'}",
+        f"digits: {payload['digits']}",
+        f"d(result) = {payload['divisor_count']}",
+    ]
     _emit(args, lambda: payload, lambda: lines)
     return 0
 
@@ -416,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text")
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; inert")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -439,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[common], help="canonical minimal preimage")
     p.add_argument("n", help="decimal or factored form")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_preimage, preimage=construct.canonical_preimage)
 
     p = sub.add_parser("naive", parents=[common], help="one-prime-per-factor preimage")
     p.add_argument("n", help="decimal or factored form")
-    p.set_defaults(func=cmd_naive)
+    p.set_defaults(func=cmd_preimage, preimage=construct.naive_preimage)
 
     p = sub.add_parser("min-divisors", parents=[common], help="smallest integer with exactly t divisors")
     p.add_argument("t")

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divisor import PeriodTable, first_occurrences, shared_table
+from .divisor import PeriodTable, Sieve, first_occurrences
 from .errors import InvalidArgument
 from .factored import _LOG_SCREEN, FactoredInt
 from .hcn import max_divisor_count
@@ -150,7 +150,7 @@ def _record(k: int, value: FactoredInt, verification: str) -> ChainRecord:
 def min_with_period(
     k: int,
     candidate_bound: int = DEFAULT_CANDIDATE_BOUND,
-    table: PeriodTable | None = None,
+    table: PeriodTable | Sieve | None = None,
     occurrences: dict[int, int] | None = None,
 ) -> ChainRecord | None:
     """Minimal integer with period k, or None if unreachable at this bound.
@@ -161,8 +161,8 @@ def min_with_period(
     oracle and the minimum is only known relative to the bound.  The
     sweep is pruned by the highly-composite bound: once the least target
     gives a value S, no target above d(H), H the largest highly
-    composite number <= S, can give less, so those targets are skipped.
-    The result and its label are those of the full sweep.
+    composite number <= S, can give less, so only the blocks up to d(H)
+    are read.  The result and its label are those of the full sweep.
 
     ``occurrences`` is ``first_occurrences(table)``, if the caller has it.
     """
@@ -171,30 +171,31 @@ def min_with_period(
     if candidate_bound < 2:
         raise InvalidArgument(f"candidate bound must be >= 2, got {candidate_bound}")
     if table is None:
-        table = shared_table(candidate_bound)
+        table = Sieve(candidate_bound)
     if occurrences is None:
         occurrences = first_occurrences(table)
     if k in occurrences:
         return _record(k, factorize(occurrences[k]), "sieve-verified")
-
-    targets = np.flatnonzero(table.period_of[: table.limit + 1] == k - 1)
-    if targets.size == 0:
+    if k - 1 not in occurrences:
         return None
+
+    least = occurrences[k - 1]
     search = _MinSearch()
-    search.run(int(targets[0]))
+    search.run(least)
     # a target t with MinDiv(t) <= S has t = d(MinDiv(t)) <= d(H)
     cap = max_divisor_count(_exps_to_factored(search.best_exps))
-    if cap is not None:
-        targets = targets[targets <= cap]
+    hi = table.limit if cap is None else min(cap, table.limit)
     log10_2 = math.log10(2)
-    for t in targets[1:].tolist():
-        # any prime factor q of t forces a divisor-count factor >= q on
-        # some prime, so the minimum with t divisors is >= 2^(q-1);
-        # targets with a large prime factor cannot beat the running best
-        gpf = factorize(t).factors[-1][0]
-        if (gpf - 1) * log10_2 > search.best_log + _LOG_SCREEN:
-            continue
-        search.run(t)
+    if least < hi:
+        for start, _, periods in table.blocks(least + 1, hi):
+            for t in (start + np.flatnonzero(periods == k - 1)).tolist():
+                # any prime factor q of t forces a divisor-count factor >= q
+                # on some prime, so the minimum with t divisors is >= 2^(q-1):
+                # targets with a large prime factor cannot beat the running best
+                gpf = factorize(t).factors[-1][0]
+                if (gpf - 1) * log10_2 > search.best_log + _LOG_SCREEN:
+                    continue
+                search.run(t)
     return _record(
         k, _exps_to_factored(search.best_exps), f"oracle-verified-up-to-bound({table.limit})"
     )
@@ -213,7 +214,7 @@ def chain(
     """
     if max_k < 1:
         raise InvalidArgument(f"max_k must be >= 1, got {max_k}")
-    table = shared_table(candidate_bound)
+    table = Sieve(candidate_bound)
     occurrences = first_occurrences(table)
     records: list[ChainRecord] = []
     for k in range(1, max_k + 1):

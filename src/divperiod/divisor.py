@@ -180,24 +180,22 @@ def period_table(limit: int) -> PeriodTable:
     return PeriodTable(limit, k, d)
 
 
-_shared: dict[int, PeriodTable] = {}
-
-
-def shared_table(limit: int) -> PeriodTable:
-    """``period_table(limit)``, kept for the next caller; holds one table."""
-    if limit not in _shared:
-        _shared.clear()
-        _shared[limit] = period_table(limit)
-    return _shared[limit]
-
-
 def first_occurrences(table: PeriodTable | Sieve) -> dict[int, int]:
-    """For each period value present, the least n attaining it."""
+    """For each period value present, the least n attaining it.
+
+    The least n_j with period j rises with j, and an integer m with period
+    j + 1 has d(m) >= n_j, while d(m) <= 2 * isqrt(limit).  So once the
+    newest n_j exceeds 2 * isqrt(limit) no larger period occurs, and the
+    blocks after it are not read.
+    """
     out: dict[int, int] = {}
+    top = 2 * math.isqrt(table.limit)
     for start, _, k in table.blocks(2, table.limit):
         for kk in np.flatnonzero(np.bincount(k)).tolist():
             if kk not in out:
                 out[kk] = start + int(np.argmax(k == kk))
+        if out[max(out)] > top:
+            break
     return dict(sorted(out.items()))
 
 

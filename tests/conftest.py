@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from divperiod import period_table
+import divperiod
+from divperiod import divisor, period_table
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +17,20 @@ def table_5m():
 @pytest.fixture(scope="session")
 def table_100k():
     return period_table(100_000)
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """The (lo, hi) of every ``divisor._divisor_block`` call, in order."""
+    calls = []
+    original = divisor._divisor_block
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return original(lo, hi)
+
+    monkeypatch.setattr(divisor, "_divisor_block", counted)
+    return calls
 
 
 def d_naive(n: int) -> int:
@@ -47,3 +67,33 @@ def first_difference(got: str, want: str) -> str | None:
         if a != b:
             return f"line {i + 1}: {a!r} != {b!r}"
     return f"{len(got_lines)} lines != {len(want_lines)} lines"
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with this checkout's ``divperiod`` first on PYTHONPATH."""
+    path = [str(Path(divperiod.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+
+
+def cli_peak_kb(*argv: str) -> tuple[int, int]:
+    """Exit code and peak RSS in kB of ``main(argv)`` in a fresh interpreter.
+
+    The peak is the child's VmHWM: ``ru_maxrss`` would also count the
+    peak of this test process, which it inherits across fork and exec.
+    """
+    script = (
+        "import re, sys\n"
+        "from divperiod.cli import main\n"
+        f"code = main({list(argv)!r})\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(code, re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=subprocess_env(), timeout=300, check=True,
+    )
+    code, peak_kb = map(int, proc.stderr.split()[-2:])
+    return code, peak_kb

@@ -1,14 +1,9 @@
 import io
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import divperiod
 from divperiod import (
     BoundParams,
     InvalidArgument,
@@ -29,7 +24,7 @@ from divperiod.analysis import (
 )
 from divperiod.divisor import BLOCK
 
-from conftest import first_difference
+from conftest import cli_peak_kb, first_difference, needs_vmhwm
 
 LN2 = math.log(2)
 
@@ -221,23 +216,12 @@ def test_wigert_scan_threshold_mid_block(table_5m, sieve_5m):
     assert len(rep.violations) < len(below)
 
 
+@needs_vmhwm
 def test_wigert_cli_memory_is_bounded():
     """The scan streams blocks: 2*10^7 integers once took 907 MB."""
-    path = [str(Path(divperiod.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    script = (
-        "import resource, sys\n"
-        "from divperiod.cli import main\n"
-        "code = main(['wigert', '--from', '3', '--to', '20000000'])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        env=env, timeout=300, check=True,
-    )
-    code, maxrss_kb = map(int, proc.stderr.split()[-2:])
+    code, peak_kb = cli_peak_kb("wigert", "--from", "3", "--to", "20000000")
     assert code == 0
-    assert maxrss_kb < 400 * 1024
+    assert peak_kb < 200 * 1024
 
 
 # Both sides of the first block edge and past the second, lower ends

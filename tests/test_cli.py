@@ -1,16 +1,13 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import divperiod
 from divperiod.cli import main
 from divperiod.divisor import BLOCK
 
-from conftest import first_difference
+from conftest import cli_peak_kb, first_difference, needs_vmhwm, subprocess_env
 
 
 def run(capsys, *argv):
@@ -209,9 +206,10 @@ def test_determinism(capsys):
     first = run(capsys, "chain", "--max-k", "6", "--bound", "6000", "--format", "json")
     second = run(capsys, "chain", "--max-k", "6", "--bound", "6000", "--format", "json")
     assert first == second
-    # --threads is accepted and inert
-    third = run(capsys, "chain", "--max-k", "6", "--bound", "6000", "--format", "json", "--threads", "4")
-    assert third == first
+    # --threads was inert and is now a usage error
+    code, out, _ = run(capsys, "chain", "--max-k", "6", "--bound", "6000", "--threads", "4")
+    assert code == 2
+    assert out == ""
 
 
 def test_wigert_rejects_nan_epsilon(capsys):
@@ -222,23 +220,16 @@ def test_wigert_rejects_nan_epsilon(capsys):
 
 
 def test_closed_stdout_ends_quietly():
-    path = [str(Path(divperiod.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.Popen(
         [sys.executable, "-c", "from divperiod.cli import entry; entry()",
          "plot", "--from", "2", "--to", "100000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
     )
     assert proc.stdout.readline() == b"2,1\n"
     proc.stdout.close()  # the output left is far more than a pipe buffer holds
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
-
-
-def _subprocess_env():
-    path = [str(Path(divperiod.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 @pytest.mark.parametrize("limit", [BLOCK - 1, BLOCK + 1])
@@ -272,24 +263,9 @@ def test_plot_forms_match_whole_table(table_5m, capsys, lo, hi):
     assert first_difference(run(capsys, *argv, "json")[1], expected) is None
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+@needs_vmhwm
 def test_table_json_memory_is_bounded():
-    """The JSON rows are streamed: 2*BLOCK+5 rows once took 179 MB.
-
-    The peak is the child's VmHWM: ``ru_maxrss`` would also count the
-    peak of this test process, which it inherits across fork and exec.
-    """
-    script = (
-        "import re, sys\n"
-        "from divperiod.cli import main\n"
-        f"code = main(['table', '--limit', '{2 * BLOCK + 5}', '--format', 'json'])\n"
-        "status = open('/proc/self/status').read()\n"
-        "print(code, re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1), file=sys.stderr)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        env=_subprocess_env(), timeout=300, check=True,
-    )
-    code, peak_kb = map(int, proc.stderr.split()[-2:])
+    """The JSON rows are streamed: 2*BLOCK+5 rows once took 179 MB."""
+    code, peak_kb = cli_peak_kb("table", "--limit", str(2 * BLOCK + 5), "--format", "json")
     assert code == 0
     assert peak_kb < 120 * 1024

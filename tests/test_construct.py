@@ -15,7 +15,7 @@ from divperiod import (
     period,
     period_table,
 )
-from divperiod import PeriodTable, construct
+from divperiod import PeriodTable, construct, divisor
 from divperiod.cli import main
 from divperiod.divisor import BLOCK
 from divperiod.hcn import max_divisor_count
@@ -161,7 +161,9 @@ def test_chain_records_reach_two():
         assert m == 2
 
 
-@pytest.mark.parametrize("k, bound", [(7, 6_000), (7, 200_000), (6, 4_000)])
+@pytest.mark.parametrize(
+    "k, bound", [(7, 6_000), (7, 200_000), (6, 4_000), (7, 5_040), (6, 5_039), (5, 59)]
+)
 def test_min_with_period_matches_full_sweep(k, bound):
     # the pruned sweep against the oracle run on every period-(k-1) target
     table = period_table(bound)
@@ -221,9 +223,19 @@ def test_min_with_period_prunes_above_hcn_bound(oracle_runs):
     table = PeriodTable(19, period_of, np.zeros(20, dtype=np.int32))
     assert min(int(exact_min_with_divisors(t).to_decimal()) for t in targets) == 60
     oracle_runs.clear()
-    rec = min_with_period(5, 19, table, occurrences={})
+    rec = min_with_period(5, 19, table)
     assert rec.decimal == "60"
     assert oracle_runs == [7, 12]
+
+
+def test_min_with_period_reads_target_after_least(oracle_runs):
+    # the target right after the least one is read and wins: MinDiv(8) = 24
+    period_of = np.zeros(20, dtype=np.int16)
+    period_of[[7, 8]] = 4
+    table = PeriodTable(19, period_of, np.zeros(20, dtype=np.int32))
+    oracle_runs.clear()
+    assert min_with_period(5, 19, table).decimal == "24"
+    assert oracle_runs == [7, 8]
 
 
 def test_chain_to_seven_runs_oracle_at_most_twice(oracle_runs):
@@ -231,6 +243,32 @@ def test_chain_to_seven_runs_oracle_at_most_twice(oracle_runs):
     assert records[-1].value == L
     assert records[-1].verification == "oracle-verified-up-to-bound(5000000)"
     assert len(oracle_runs) <= 2
+
+
+@pytest.fixture
+def sieve_reads(block_calls, monkeypatch):
+    """The (lo, hi) of every ``_divisor_block`` call; ``period_table`` raises."""
+
+    def refused(limit):
+        raise AssertionError(f"period_table({limit}) called")
+
+    monkeypatch.setattr(divisor, "period_table", refused)
+    return block_calls
+
+
+# the head Sieve(5 * 10^6) resolves, then the one block first_occurrences reads
+ONE_BLOCK_AT_DEFAULT = [(0, 2 * 2236 + 2), (2, BLOCK + 1)]
+
+
+def test_chain_to_seven_reads_one_block(sieve_reads):
+    assert chain(7)[-1].value == L
+    assert sieve_reads == ONE_BLOCK_AT_DEFAULT
+
+
+def test_conjecture_reads_one_block(sieve_reads, capsys):
+    assert main(["conjecture", "--max-k", "7"]) == 0
+    assert "k=7: n=293318625600" in capsys.readouterr().out
+    assert sieve_reads == ONE_BLOCK_AT_DEFAULT
 
 
 def _check_verify_theorem1_sieve_min(capsys, bound):

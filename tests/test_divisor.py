@@ -199,6 +199,25 @@ def test_table_and_sieve_first_occurrences_agree(table_5m):
     assert first_occurrences(Sieve(5040))[6] == 5040
 
 
+@pytest.mark.parametrize(
+    "limit", [2, 3, 11, 12, 59, 60, 5039, 5040, 6000, BLOCK - 1, BLOCK + 1, 5_000_000]
+)
+def test_first_occurrences_match_full_scan(table_5m, limit):
+    periods, first_idx = np.unique(table_5m.period_of[2 : limit + 1], return_index=True)
+    expected = {int(k): int(i) + 2 for k, i in zip(periods, first_idx)}
+    assert first_occurrences(Sieve(limit)) == expected
+
+
+@pytest.mark.parametrize("limit, blocks", [(6_350_399, 1), (6_350_400, 13)])
+def test_first_occurrences_stops_past_twice_isqrt(block_calls, limit, blocks):
+    # n_6 = 5040 > 2 * isqrt(6350399) = 5038 rules out period 7, but
+    # 2 * isqrt(6350400) = 5040 does not, so every block is read
+    sieve = Sieve(limit)
+    block_calls.clear()
+    assert first_occurrences(sieve) == {1: 2, 2: 4, 3: 6, 4: 12, 5: 60, 6: 5040}
+    assert len(block_calls) == blocks
+
+
 def test_period_cache_is_bounded():
     top = 2 + divisor._PERIOD_CACHE_MAX + 5_000
     table = period_table(top)
