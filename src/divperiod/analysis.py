@@ -73,10 +73,28 @@ def max_order_ratio(n: int, d: int) -> float:
     return math.log(d) * math.log(math.log(n)) / math.log(n)
 
 
+# ln n / ln ln n rises for n > e^e = 15.15..., so from 16 on the first n of
+# a block gives the least divisor count a high ratio needs in all of it.
+_SCREEN_FROM = 16
+# Relative slack on that divisor count, far above the rounding of the
+# ratios and of the count itself.
+_SCREEN_MARGIN = 1e-9
+
+
 def wigert_scan(
     table: PeriodTable | Sieve, params: BoundParams, lo: int, hi: int
 ) -> WigertReport:
-    """Scan r(n) over [lo, hi]: maximum, argmax, and above-threshold n."""
+    """Scan r(n) over [lo, hi]: maximum, argmax, and above-threshold n.
+
+    A block matters only at n with r(n) > c = min(threshold, running
+    maximum): every other n is neither a violation nor a new maximum.
+    For n >= start >= 16, r(n) > c means ln d(n) > c * ln n / ln ln n >=
+    c * ln start / ln ln start, as ln n / ln ln n rises past e^e.  So
+    ratios are taken only where d(n) > exp(c * ln start / ln ln start),
+    less a relative margin of 1e-9 for rounding, and the result is the
+    full scan's: the same numpy ratio, the least n among equal maxima, and
+    violations in order.  Blocks that start below 16 are scanned whole.
+    """
     if lo < 3:
         raise InvalidArgument("scan needs lo >= 3 (ln ln n must be defined)")
     if not lo <= hi <= table.limit:
@@ -85,15 +103,25 @@ def wigert_scan(
     max_ratio, argmax_n, argmax_d = -math.inf, lo, 0
     violations: list[tuple[int, int, float]] = []
     for start, d, _ in table.blocks(lo, hi):
-        n = np.arange(start, start + d.size, dtype=np.float64)
-        r = np.log(d.astype(np.float64)) * np.log(np.log(n)) / np.log(n)
+        if start < _SCREEN_FROM:
+            idx = np.arange(d.size)
+        else:
+            # c is -inf in the first block, which lets every n through
+            c = min(threshold, max_ratio)
+            ln_start = math.log(start)
+            least_d = math.exp(c * ln_start / math.log(ln_start)) * (1.0 - _SCREEN_MARGIN)
+            idx = np.flatnonzero(d > least_d)
+            if not idx.size:
+                continue
+        dc = d[idx]
+        n = (start + idx).astype(np.float64)
+        r = np.log(dc.astype(np.float64)) * np.log(np.log(n)) / np.log(n)
         imax = int(np.argmax(r))
         # strict: a tie in a later block keeps the earlier, least n
         if r[imax] > max_ratio:
-            max_ratio, argmax_n, argmax_d = float(r[imax]), start + imax, int(d[imax])
-        skip = min(max(params.threshold_n0 - start, 0), d.size)
-        idx = skip + np.flatnonzero(r[skip:] > threshold)
-        violations += zip((start + idx).tolist(), d[idx].tolist(), r[idx].tolist())
+            max_ratio, argmax_n, argmax_d = float(r[imax]), start + int(idx[imax]), int(dc[imax])
+        hit = np.flatnonzero((r > threshold) & (idx >= params.threshold_n0 - start))
+        violations += zip((start + idx[hit]).tolist(), dc[hit].tolist(), r[hit].tolist())
     return WigertReport(lo, hi, params, threshold, max_ratio, argmax_n, argmax_d, violations)
 
 

@@ -124,9 +124,8 @@ def cmd_table(args) -> int:
     sieve = divisor.Sieve(args.limit)
 
     def text_writer(out):
-        top_k = top_d = 0
-        for _, d, k in sieve.blocks(2, sieve.limit):
-            top_d, top_k = max(top_d, int(d.max())), max(top_k, int(k.max()))
+        top_k = max(divisor.first_occurrences(sieve))
+        top_d = hcn.max_divisor_count(sieve.limit)
         out.write(f"table up to {sieve.limit}\nmax period: {top_k}\nmax d: {top_d}\n")
 
     _write(

@@ -28,7 +28,7 @@ import numpy as np
 from .divisor import PeriodTable, Sieve, first_occurrences
 from .errors import InvalidArgument
 from .factored import _LOG_SCREEN, FactoredInt
-from .hcn import max_divisor_count
+from .hcn import _ENUM_HARD_CEILING, max_divisor_count
 from .primes import factorize, nth_prime
 
 DEFAULT_CANDIDATE_BOUND = 5_000_000
@@ -155,8 +155,11 @@ def min_with_period(
 ) -> ChainRecord | None:
     """Minimal integer with period k, or None if unreachable at this bound.
 
-    If the sieve up to ``candidate_bound`` already contains a period-k
-    entry the answer is unconditional (sieve-verified).  Otherwise every
+    k = 1 and k = 2 (values 2 and 4) are base cases: 2 is the fixed point
+    of d, so for k = 2 the oracle's least target 2 would give 2 itself,
+    which has period 1.  For k >= 3, if the sieve up to
+    ``candidate_bound`` already contains a period-k entry the answer is
+    unconditional (sieve-verified).  Otherwise every
     sieved n' with period k-1 is a divisor-count target for the exact
     oracle and the minimum is only known relative to the bound.  The
     sweep is pruned by the highly-composite bound: once the least target
@@ -170,6 +173,8 @@ def min_with_period(
         raise InvalidArgument(f"period must be >= 1, got {k}")
     if candidate_bound < 2:
         raise InvalidArgument(f"candidate bound must be >= 2, got {candidate_bound}")
+    if k <= 2:
+        return _record(k, factorize(2 * k), "sieve-verified")
     if table is None:
         table = Sieve(candidate_bound)
     if occurrences is None:
@@ -182,8 +187,11 @@ def min_with_period(
     least = occurrences[k - 1]
     search = _MinSearch()
     search.run(least)
-    # a target t with MinDiv(t) <= S has t = d(MinDiv(t)) <= d(H)
-    cap = max_divisor_count(_exps_to_factored(search.best_exps))
+    # a target t with MinDiv(t) <= S has t = d(MinDiv(t)) <= d(H); the
+    # float screen spares computing the exact value of a huge S
+    cap = None
+    if search.best_log <= _ENUM_HARD_CEILING + 1:
+        cap = max_divisor_count(_exps_to_factored(search.best_exps).value())
     hi = table.limit if cap is None else min(cap, table.limit)
     log10_2 = math.log10(2)
     if least < hi:
@@ -206,11 +214,11 @@ def chain(
 ) -> list[ChainRecord]:
     """Minimal-n records for periods 1..max_k, as far as reachable.
 
-    k = 1 and k = 2 (values 2 and 4) are base cases: the canonical
-    construction applied to 2 lands back on the fixed point 2 and never
-    advances the period, so they cannot be produced by it.  Each later
-    record also checks whether canonical_preimage of its predecessor
-    reproduces it.
+    k = 1 and k = 2 (values 2 and 4) are the base cases of
+    ``min_with_period``: the canonical construction applied to 2 lands
+    back on the fixed point 2 and never advances the period, so they
+    cannot be produced by it.  Each later record also checks whether
+    canonical_preimage of its predecessor reproduces it.
     """
     if max_k < 1:
         raise InvalidArgument(f"max_k must be >= 1, got {max_k}")
@@ -218,12 +226,10 @@ def chain(
     occurrences = first_occurrences(table)
     records: list[ChainRecord] = []
     for k in range(1, max_k + 1):
-        if k <= 2:
-            rec = _record(k, factorize(2 * k), "sieve-verified")
-        else:
-            rec = min_with_period(k, candidate_bound, table, occurrences)
-            if rec is None:
-                break
+        rec = min_with_period(k, candidate_bound, table, occurrences)
+        if rec is None:
+            break
+        if k > 2:
             constructed = canonical_preimage(records[-1].value)
             rec.canonical_match = constructed.compare(rec.value) == 0
         records.append(rec)

@@ -14,6 +14,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .errors import InvalidArgument, ResourceLimit, UndefinedPeriod
+from .hcn import max_divisor_count
 from .primes import SIEVE_CEILING, factorize
 
 # Entries per sieve block: 2 MB of int32 divisor counts, which stays in cache.
@@ -183,13 +184,17 @@ def period_table(limit: int) -> PeriodTable:
 def first_occurrences(table: PeriodTable | Sieve) -> dict[int, int]:
     """For each period value present, the least n attaining it.
 
-    The least n_j with period j rises with j, and an integer m with period
-    j + 1 has d(m) >= n_j, while d(m) <= 2 * isqrt(limit).  So once the
-    newest n_j exceeds 2 * isqrt(limit) no larger period occurs, and the
-    blocks after it are not read.
+    The least n_j with period j rises with j, and an integer m <= limit
+    with period j + 1 has d(m) >= n_j, because d(m) has period j.  No
+    m <= limit has more divisors than D = d(H), H the largest highly
+    composite number <= limit (Ramanujan 1915), and that maximum is
+    attained.  So once the newest n_j exceeds D no larger period occurs,
+    and the blocks after it are not read.  D is 448 at 10^7 and 960 at
+    2 * 10^8, so up to the sieve ceiling the scan ends with the block
+    that holds n_6 = 5040.
     """
     out: dict[int, int] = {}
-    top = 2 * math.isqrt(table.limit)
+    top = max_divisor_count(table.limit)
     for start, _, k in table.blocks(2, table.limit):
         for kk in np.flatnonzero(np.bincount(k)).tolist():
             if kk not in out:

@@ -82,18 +82,19 @@ def _hcn_up_to(limit: int) -> list[HCNRecord]:
     return records
 
 
-def max_divisor_count(n: FactoredInt) -> int | None:
-    """d(H) for the largest highly composite H <= n, or None above the
-    enumeration ceiling.
+def max_divisor_count(limit: int) -> int | None:
+    """d(H) for the largest highly composite H <= limit, or None above the
+    enumeration ceiling of 10^18.
 
-    Every m <= n has d(m) <= d(H): the least m <= n with the most
-    divisors in [1, n] beats every smaller integer, so it is highly
-    composite, hence at most H.
+    Every m <= limit has d(m) <= d(H): the least m <= limit with the most
+    divisors in [1, limit] beats every smaller integer, so it is highly
+    composite, hence at most H.  That maximum is read off the candidates
+    directly: the exponents of any m, sorted down onto 2, 3, 5, ..., give
+    a candidate <= m with the same divisor count.
     """
-    # the float screen spares computing the exact value of a huge n
-    if n.log10_value() > _ENUM_HARD_CEILING + 1 or n.value() > _ENUM_HARD_LIMIT:
+    if limit > _ENUM_HARD_LIMIT:
         return None
-    return _hcn_up_to(n.value())[-1].divisor_count
+    return max(math.prod(e + 1 for e in exps) for _, exps in _candidates(limit))
 
 
 def is_highly_composite(

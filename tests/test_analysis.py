@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divperiod import (
     BoundParams,
     InvalidArgument,
+    PeriodTable,
     Sieve,
     factorize,
     histogram,
@@ -17,6 +19,7 @@ from divperiod import (
     wigert_scan,
 )
 from divperiod.analysis import (
+    WigertReport,
     increment_report_json,
     write_histogram_csv,
     write_plot_csv,
@@ -214,6 +217,92 @@ def test_wigert_scan_threshold_mid_block(table_5m, sieve_5m):
     below = wigert_scan(sieve_5m, BoundParams(threshold_n0=lo), lo, hi).violations
     assert rep.violations == [v for v in below if v[0] >= n0]
     assert len(rep.violations) < len(below)
+
+
+def _reference_report(d_all, params, lo, hi):
+    """The unscreened scan as a ``WigertReport``."""
+    threshold = LN2 * (1.0 + params.epsilon)
+    return WigertReport(lo, hi, params, threshold, *_wigert_reference(d_all, params, lo, hi))
+
+
+# ranges below and across 16, where the screen starts, and across block edges
+SCREEN_RANGES = [(3, 15), (3, 16), (16, 17), (BLOCK - 1, BLOCK + 1), (16, 2 * BLOCK + 5),
+                 (BLOCK + 1, 3 * BLOCK + 7)]
+
+
+@pytest.mark.parametrize("lo,hi", SCREEN_RANGES)
+@pytest.mark.parametrize("epsilon", [0.01, 0.1, 2.0])
+@pytest.mark.parametrize("n0_at", ["one", "mid", "past"])
+def test_wigert_scan_matches_unscreened_reference(table_5m, sieve_5m, lo, hi, epsilon, n0_at):
+    # at epsilon 2.0 no ratio reaches the threshold, so only the maximum
+    # is screened; over [BLOCK + 1, 3 * BLOCK + 7] it lies in a later block
+    n0 = {"one": 1, "mid": lo + min(BLOCK, hi - lo) // 2, "past": hi + 1}[n0_at]
+    params = BoundParams(epsilon=epsilon, threshold_n0=n0)
+    assert wigert_scan(sieve_5m, params, lo, hi) == _reference_report(
+        table_5m.divisor_of, params, lo, hi
+    )
+
+
+def test_wigert_scan_violation_at_block_start(table_5m, sieve_5m):
+    # r(s) for s = 524888, d(s) = 48, the first n of the second block,
+    # and the largest epsilon whose threshold lies below it: rounded
+    # without margin, exp(threshold * ln s / ln ln s) is not below 48
+    s = 524_888
+    lo = s - BLOCK
+    r = _wigert_reference(table_5m.divisor_of, BoundParams(), s, s)[0]
+    epsilon = r / LN2 - 1
+    while LN2 * (1.0 + epsilon) >= r:
+        epsilon = math.nextafter(epsilon, -math.inf)
+    while LN2 * (1.0 + math.nextafter(epsilon, math.inf)) < r:
+        epsilon = math.nextafter(epsilon, math.inf)
+    threshold = LN2 * (1.0 + epsilon)
+    assert not 48 > math.exp(threshold * math.log(s) / math.log(math.log(s)))
+    params = BoundParams(epsilon=epsilon, threshold_n0=s)
+    rep = wigert_scan(sieve_5m, params, lo, s + 10)
+    assert rep.violations[0] == (s, 48, r)
+    assert rep == _reference_report(table_5m.divisor_of, params, lo, s + 10)
+
+
+class _SmallBlocks:
+    """A period table read in blocks of ``size`` values, so small ranges span many."""
+
+    def __init__(self, table, size):
+        self.table, self.size, self.limit = table, size, table.limit
+
+    def blocks(self, lo, hi):
+        for start in range(lo, hi + 1, self.size):
+            end = min(start + self.size, hi + 1)
+            yield start, self.table.divisor_of[start:end], self.table.period_of[start:end]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.integers(3, 6_000),
+    length=st.integers(0, 4_000),
+    size=st.integers(1, 700),
+    epsilon=st.sampled_from([0.01, 0.1, 0.3, 0.5, 2.0]),
+    n0=st.integers(1, 10_000),
+)
+def test_wigert_scan_screen_small_blocks(table_100k, lo, length, size, epsilon, n0):
+    params = BoundParams(epsilon=epsilon, threshold_n0=n0)
+    hi = lo + length
+    assert wigert_scan(_SmallBlocks(table_100k, size), params, lo, hi) == _reference_report(
+        table_100k.divisor_of, params, lo, hi
+    )
+
+
+def test_wigert_scan_reads_blocks_below_sixteen_whole():
+    # ln n / ln ln n falls up to e^e, so the first n of a block below 16
+    # gives no floor: with synthetic counts d(3) = 1000 and d(6) = 7, the
+    # floor exp(r(3) * ln 5 / ln ln 5) = 7.4 of the block [5, 6] would
+    # hide the new maximum r(6) = 0.633 > r(3) = 0.591
+    d_all = np.ones(7, dtype=np.int32)
+    d_all[3], d_all[6] = 1000, 7
+    table = PeriodTable(6, np.zeros(7, dtype=np.int16), d_all)
+    params = BoundParams(epsilon=2.0)
+    rep = wigert_scan(_SmallBlocks(table, 2), params, 3, 6)
+    assert (rep.argmax_n, rep.argmax_d) == (6, 7)
+    assert rep == _reference_report(d_all, params, 3, 6)
 
 
 @needs_vmhwm

@@ -6,10 +6,12 @@ import pytest
 from divperiod import (
     FactoredInt,
     InvalidArgument,
+    Sieve,
     canonical_preimage,
     chain,
     exact_min_with_divisors,
     factorize,
+    first_occurrences,
     min_with_period,
     naive_preimage,
     period,
@@ -138,6 +140,18 @@ def test_chain():
     assert [r.canonical_match for r in records] == [None, None, True, True, True, True]
 
 
+def test_min_with_period_has_that_period():
+    # at bounds 2 and 3 the oracle would answer k = 2 with MinDiv(2) = 2, of period 1
+    for bound in [*range(2, 130), 5_039, 5_040]:
+        table = Sieve(bound)
+        occurrences = first_occurrences(table)
+        for k in range(1, 8):
+            rec = min_with_period(k, bound, table, occurrences)
+            if rec is not None:
+                assert period(int(rec.decimal)) == k, (k, bound)
+    assert min_with_period(2, 2).decimal == "4"
+
+
 def test_chain_base_case():
     records = chain(1, candidate_bound=100)
     assert [r.decimal for r in records] == ["2"]
@@ -188,15 +202,16 @@ def test_hcn_divisor_bound_dominates_sieve():
     # rounds down would drop H
     picks += [h + dh for h in (5040, 55440, 720720) for dh in (-1, 0, 1)]
     for s in picks:
-        assert max_divisor_count(factorize(s)) == running_max[s]
+        assert max_divisor_count(s) == running_max[s]
 
 
 def test_hcn_divisor_bound_exact_at_period_seven():
     # 293318625600 is itself highly composite; a float limit just below
     # it would give the previous record, 4800 divisors
-    assert max_divisor_count(L) == 5040
-    assert max_divisor_count(FactoredInt(((2, 18), (5, 18)))) is not None
-    assert max_divisor_count(FactoredInt(((2, 18), (5, 18), (7, 1)))) is None
+    assert max_divisor_count(L.value()) == 5040
+    assert max_divisor_count(L.value() - 1) == 4800
+    assert max_divisor_count(10**18) is not None
+    assert max_divisor_count(10**18 + 1) is None
 
 
 @pytest.fixture

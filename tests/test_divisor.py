@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from divperiod import (
 )
 from divperiod import divisor
 from divperiod.divisor import BLOCK, ROWS_PER_WRITE, write_rows, write_table_csv
+from divperiod.hcn import max_divisor_count
 
 from conftest import first_difference, k_naive
 
@@ -208,14 +210,16 @@ def test_first_occurrences_match_full_scan(table_5m, limit):
     assert first_occurrences(Sieve(limit)) == expected
 
 
-@pytest.mark.parametrize("limit, blocks", [(6_350_399, 1), (6_350_400, 13)])
-def test_first_occurrences_stops_past_twice_isqrt(block_calls, limit, blocks):
-    # n_6 = 5040 > 2 * isqrt(6350399) = 5038 rules out period 7, but
-    # 2 * isqrt(6350400) = 5040 does not, so every block is read
+@pytest.mark.parametrize("limit", [6_350_399, 6_350_400, 10**7, 2 * 10**8])
+def test_first_occurrences_stops_past_hcn_divisor_bound(block_calls, limit):
+    # no m <= limit has more than d(H) divisors, H the largest highly
+    # composite number <= limit: 448 at 10^7, 960 at 2 * 10^8; n_6 = 5040
+    # exceeds that, so no period 7 occurs and only the first block is read,
+    # even where 2 * isqrt(limit) = 5040 would not rule period 7 out
+    assert max_divisor_count(limit) < 5040
     sieve = Sieve(limit)
-    block_calls.clear()
     assert first_occurrences(sieve) == {1: 2, 2: 4, 3: 6, 4: 12, 5: 60, 6: 5040}
-    assert len(block_calls) == blocks
+    assert block_calls == [(0, 2 * math.isqrt(limit) + 2), (2, BLOCK + 1)]
 
 
 def test_period_cache_is_bounded():
