@@ -152,7 +152,7 @@ def cmd_first(args) -> int:
 
 
 def cmd_hist(args) -> int:
-    h = analysis.histogram(divisor.Sieve(args.to), getattr(args, "from"), args.to)
+    h = analysis.histogram(getattr(args, "from"), args.to)
     payload = {"lo": h.lo, "hi": h.hi, "counts": {str(k): c for k, c in sorted(h.counts.items())}}
     lines = [f"k={k}: {c}" for k, c in sorted(h.counts.items())]
     _emit(args, lambda: payload, lambda: lines, lambda out: analysis.write_histogram_csv(h, out))

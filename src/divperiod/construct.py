@@ -157,9 +157,10 @@ def min_with_period(
 
     k = 1 and k = 2 (values 2 and 4) are base cases: 2 is the fixed point
     of d, so for k = 2 the oracle's least target 2 would give 2 itself,
-    which has period 1.  For k >= 3, if the sieve up to
-    ``candidate_bound`` already contains a period-k entry the answer is
-    unconditional (sieve-verified).  Otherwise every
+    which has period 1.  They are labelled sieve-verified when the sieve
+    reaches them and base-case when it stops below.  For k >= 3, if the
+    sieve up to ``candidate_bound`` already contains a period-k entry the
+    answer is unconditional (sieve-verified).  Otherwise every
     sieved n' with period k-1 is a divisor-count target for the exact
     oracle and the minimum is only known relative to the bound.  The
     sweep is pruned by the highly-composite bound: once the least target
@@ -174,7 +175,8 @@ def min_with_period(
     if candidate_bound < 2:
         raise InvalidArgument(f"candidate bound must be >= 2, got {candidate_bound}")
     if k <= 2:
-        return _record(k, factorize(2 * k), "sieve-verified")
+        label = "sieve-verified" if 2 * k <= candidate_bound else "base-case"
+        return _record(k, factorize(2 * k), label)
     if table is None:
         table = Sieve(candidate_bound)
     if occurrences is None:

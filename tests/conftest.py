@@ -3,10 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import divperiod
-from divperiod import divisor, period_table
+from divperiod import Histogram, PeriodTable, Sieve, divisor, period_table
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,16 @@ def block_calls(monkeypatch):
 
     monkeypatch.setattr(divisor, "_divisor_block", counted)
     return calls
+
+
+def sieve_histogram(table: PeriodTable | Sieve, lo: int, hi: int) -> Histogram:
+    """Reference period counts over [lo, hi]: the k(n) of every n, read block by block."""
+    counts: dict[int, int] = {}
+    for _, _, k in table.blocks(lo, hi):
+        for kk, c in enumerate(np.bincount(k).tolist()):
+            if c:
+                counts[kk] = counts.get(kk, 0) + c
+    return Histogram(lo, hi, dict(sorted(counts.items())))
 
 
 def d_naive(n: int) -> int:

@@ -132,10 +132,11 @@ def test_criterion_5_frequency_property(table_5m, capsys):
 
     boundaries = (FREQ_HOLDS_FROM - 1, FREQ_HOLDS_FROM, FREQ_FIRST_FAIL - 1, FREQ_FIRST_FAIL,
                   FREQ_FAILS_FROM, N)
+    # histogram counts from prime counts, independently of the table's sieve
     for n in boundaries:
         swept = {j: int(cum[j][n]) for j in periods if cum[j][n] > 0}
-        ok = ok and histogram(table_5m, 2, n).counts == swept
-    h = histogram(table_5m, 2, N)
+        ok = ok and histogram(2, n).counts == swept
+    h = histogram(2, N)
     ok = ok and N == 5_000_000 and h.counts == COUNTS_5M
     with capsys.disabled():
         if not ok:

@@ -1,14 +1,17 @@
 import io
 import math
+import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from divperiod import (
     BoundParams,
     InvalidArgument,
     PeriodTable,
+    ResourceLimit,
     Sieve,
     factorize,
     histogram,
@@ -19,38 +22,82 @@ from divperiod import (
     wigert_scan,
 )
 from divperiod.analysis import (
+    HISTOGRAM_CEILING,
     WigertReport,
+    _prime_counts,
     increment_report_json,
     write_histogram_csv,
     write_plot_csv,
     write_wigert_csv,
 )
 from divperiod.divisor import BLOCK
+from divperiod.primes import SIEVE_CEILING
 
-from conftest import cli_peak_kb, first_difference, needs_vmhwm
+from conftest import cli_peak_kb, first_difference, k_naive, needs_vmhwm, sieve_histogram
 
 LN2 = math.log(2)
 
 
-def test_histogram_small(table_100k):
-    h = histogram(table_100k, 2, 12)
+def test_histogram_small():
+    h = histogram(2, 12)
     # periods of 2..12 are 1,1,2,1,3,1,3,2,3,1,4 (naive-iteration oracle)
     assert h.counts == {1: 5, 2: 2, 3: 3, 4: 1}
-    assert histogram(table_100k, 2, 2).counts == {1: 1}
+    assert histogram(2, 2).counts == {1: 1}
 
 
-def test_histogram_total(table_100k):
+def test_histogram_total():
     for lo, hi in [(2, 12), (2, 100_000), (50, 60), (17, 17)]:
-        h = histogram(table_100k, lo, hi)
+        h = histogram(lo, hi)
         assert sum(h.counts.values()) == hi - lo + 1
         assert all(k >= 1 for k in h.counts)
 
 
-def test_histogram_rejects_bad_range(table_100k):
-    with pytest.raises(InvalidArgument):
-        histogram(table_100k, 2, 200_000)
-    with pytest.raises(InvalidArgument):
-        histogram(table_100k, 1, 10)
+def test_histogram_rejects_bad_range():
+    for lo, hi in [(1, 10), (0, 0), (11, 10)]:
+        with pytest.raises(InvalidArgument):
+            histogram(lo, hi)
+    with pytest.raises(ResourceLimit):
+        histogram(2, HISTOGRAM_CEILING + 1)
+    # counting has no sieve ceiling: past it, compare with the naive oracle
+    lo, hi = SIEVE_CEILING - 1, SIEVE_CEILING + 1
+    want: dict[int, int] = {}
+    for n in range(lo, hi + 1):
+        want[k_naive(n)] = want.get(k_naive(n), 0) + 1
+    assert histogram(lo, hi).counts == dict(sorted(want.items()))
+
+
+def test_histogram_matches_sieve_on_every_prefix(table_100k):
+    top = 3_000
+    swept: dict[int, int] = {}
+    for n, k in enumerate(table_100k.period_of[2 : top + 1].tolist(), 2):
+        swept[k] = swept.get(k, 0) + 1
+        assert histogram(2, n).counts == dict(sorted(swept.items())), n
+    assert histogram(2, top) == sieve_histogram(table_100k, 2, top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 2_000_000), st.integers(2, 2_000_000))
+def test_histogram_random_ranges(table_5m, a, b):
+    lo, hi = min(a, b), max(a, b)
+    bins = np.bincount(table_5m.period_of[lo : hi + 1])
+    assert histogram(lo, hi).counts == {k: int(c) for k, c in enumerate(bins) if c > 0}
+
+
+def test_prime_counts_match_sympy():
+    rng = random.Random(11)
+    for n in [1, 2, 3, 4, 8, 9, *rng.sample(range(10, 10**6 + 1), 10)]:
+        r = math.isqrt(n)
+        small, large = _prime_counts(n)
+        for v in {*rng.choices(range(r + 1), k=20), 0, r}:
+            assert small[v] == int(sympy.primepi(v))
+        for i in {*rng.choices(range(1, r + 1), k=20), 1, r}:
+            assert large[i] == int(sympy.primepi(n // i))
+
+
+def test_prime_counts_published_values():
+    # pi(10^9) and pi(10^10), OEIS A006880
+    assert _prime_counts(10**9)[1][1] == 50_847_534
+    assert _prime_counts(10**10)[1][1] == 455_052_511
 
 
 def test_bound_params_validation():
@@ -145,7 +192,7 @@ def test_plot_data(table_100k):
 
 def test_csv_writers(table_100k):
     buf = io.StringIO()
-    write_histogram_csv(histogram(table_100k, 2, 12), buf)
+    write_histogram_csv(histogram(2, 12), buf)
     assert buf.getvalue().splitlines()[0] == "k,count"
 
     buf = io.StringIO()
@@ -180,10 +227,13 @@ def sieve_5m():
     return Sieve(5_000_000)
 
 
-@pytest.mark.parametrize("lo,hi", RANGES)
+PREFIXES = [(2, hi) for hi in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 5_000_000)]
+
+
+@pytest.mark.parametrize("lo,hi", RANGES + PREFIXES)
 def test_histogram_sieve_matches_table(table_5m, sieve_5m, lo, hi):
-    h = histogram(sieve_5m, lo, hi)
-    assert h == histogram(table_5m, lo, hi)
+    h = histogram(lo, hi)
+    assert h == sieve_histogram(sieve_5m, lo, hi)
     bins = np.bincount(table_5m.period_of[lo : hi + 1])
     assert h.counts == {k: int(c) for k, c in enumerate(bins) if c > 0}
 

@@ -132,6 +132,17 @@ def test_chain_csv(capsys):
     assert lines[1] == "1,2,2,1,sieve-verified"
 
 
+@pytest.mark.parametrize("bound", ["2", "3"])
+def test_chain_base_case_label(capsys, bound):
+    code, out, _ = run(capsys, "chain", "--max-k", "8", "--bound", bound)
+    assert code == 0
+    assert out.splitlines() == [
+        "k=1: 2 = 2 (sieve-verified)",
+        "k=2: 4 = 2^2 (base-case)",
+        f"k=3: not found within bound {bound}",
+    ]
+
+
 def test_verify_theorem1(capsys):
     code, out, _ = run(
         capsys, "verify-theorem1", "--limit", "30", "--sieve-bound", "100000", "--format", "json"

@@ -122,6 +122,15 @@ def test_min_with_period_sieve_cases():
     assert rec.decimal == "2" and rec.verification == "sieve-verified"
 
 
+@pytest.mark.parametrize("bound", [2, 3])
+def test_min_with_period_base_case_beyond_sieve(bound):
+    # the sieve stops below 4, so the least period-2 integer is a base case there
+    assert min_with_period(1, bound).verification == "sieve-verified"
+    rec = min_with_period(2, bound)
+    assert rec.decimal == "4" and rec.verification == "base-case"
+    assert min_with_period(2, 4).verification == "sieve-verified"
+
+
 def test_min_with_period_oracle_case():
     rec = min_with_period(7, 6_000)
     assert rec.decimal == "293318625600"
