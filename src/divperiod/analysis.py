@@ -16,7 +16,6 @@ import numpy as np
 
 from .construct import canonical_preimage
 from .divisor import (
-    ROWS_PER_WRITE,
     PeriodTable,
     Sieve,
     _head_periods,
@@ -164,16 +163,15 @@ def histogram(lo: int, hi: int) -> Histogram:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Knobs for the maximal-order scan: tolerance, asymptotic cutoff, growth constant."""
+    """Knobs for the maximal-order scan: tolerance and asymptotic cutoff."""
 
     epsilon: float = 0.1
     threshold_n0: int = 10_000
-    growth_constant_c: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and math.isfinite(self.growth_constant_c)):
-            raise InvalidArgument("epsilon and the growth constant must be finite")
-        if self.epsilon <= 0 or self.threshold_n0 <= 0 or self.growth_constant_c <= 0:
+        if not math.isfinite(self.epsilon):
+            raise InvalidArgument("epsilon must be finite")
+        if self.epsilon <= 0 or self.threshold_n0 <= 0:
             raise InvalidArgument("all bound parameters must be strictly positive")
 
 
@@ -274,16 +272,6 @@ def theorem2_increment(n: FactoredInt) -> IncrementReport:
     return IncrementReport(n, delta, bound, delta >= bound, hypothesis)
 
 
-def increment_report_json(rep: IncrementReport) -> dict:
-    return {
-        "n": rep.n.to_text(),
-        "delta_log10": rep.delta_log10,
-        "bound": rep.bound,
-        "hypothesis_holds": rep.hypothesis_holds,
-        "bound_holds": rep.bound_holds,
-    }
-
-
 class PlotRows:
     """The (n, k) rows over [lo, hi], read from the table's blocks each time they are iterated."""
 
@@ -310,30 +298,20 @@ def plot_data(table: PeriodTable | Sieve, lo: int, hi: int) -> PlotRows:
     return PlotRows(table, lo, hi)
 
 
-def write_histogram_csv(hist: Histogram, out: TextIO) -> None:
-    out.write("k,count\n")
-    for k in sorted(hist.counts):
-        out.write(f"{k},{hist.counts[k]}\n")
-
-
 def write_wigert_csv(table: PeriodTable | Sieve, lo: int, hi: int, out: TextIO) -> None:
     """Full ``n,d,ratio`` rows over the scanned range.
 
-    Each ratio is ``max_order_ratio(n, d)`` to the bit: the logs come from
-    ``math.log`` and numpy does only the product and the quotient, in the
-    same order.  ``np.log`` may differ from libm in the last place.
+    Each ratio is the numpy expression of ``wigert_scan``.  Its ``np.log``
+    may differ from the libm log of ``max_order_ratio`` in the last place,
+    never in the nine decimals written.
     """
     if lo < 3 or not lo <= hi <= table.limit:
         raise InvalidArgument(f"range [{lo}, {hi}] invalid for table limit {table.limit}")
-    # log_of[v] = ln v for every divisor count, as d(n) <= 2 * sqrt(n)
-    log_of = np.array([0.0, *map(math.log, range(1, 2 * math.isqrt(hi) + 3))])
     out.write("n,d,ratio\n")
     for start, d, _ in table.blocks(lo, hi):
-        for s in range(0, d.size, ROWS_PER_WRITE):
-            part = d[s : s + ROWS_PER_WRITE]
-            ln_n = list(map(math.log, range(start + s, start + s + part.size)))
-            ratio = log_of[part] * np.array(list(map(math.log, ln_n))) / np.array(ln_n)
-            write_rows(out, "%d,%d,%.9f\n", start + s, part, ratio)
+        n = np.arange(start, start + d.size, dtype=np.float64)
+        ratio = np.log(d.astype(np.float64)) * np.log(np.log(n)) / np.log(n)
+        write_rows(out, "%d,%d,%.9f\n", start, d, ratio)
 
 
 def write_plot_csv(rows: PlotRows, out: TextIO) -> None:

@@ -48,35 +48,38 @@ def _int_arg(text: str, what: str) -> int:
     return n
 
 
-def _write(
-    args,
-    json_writer: Callable[[TextIO], None],
-    text_writer: Callable[[TextIO], None],
-    csv_writer: Callable[[TextIO], None] | None = None,
-) -> None:
-    """Run only the writer of the form ``args.format`` asks for."""
-    if args.format == "csv" and csv_writer is None:
+def _cell(value) -> str:
+    """One CSV cell: None is empty, a bool ``true`` or ``false``, a float has six decimals."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
+def _emit(args, doc: Callable, lines: Callable, csv: Callable | None = None) -> int:
+    """Build and write only the form ``args.format`` asks for.
+
+    ``doc()`` returns the JSON document, ``lines()`` the text lines and
+    ``csv()`` the column names and the rows.  A form that streams itself
+    to ``args._out`` returns None.
+    """
+    if args.format == "csv" and csv is None:
         raise InvalidArgument(f"subcommand {args.command!r} has no CSV form")
-    {"json": json_writer, "csv": csv_writer, "text": text_writer}[args.format](args._out)
-
-
-def _emit(
-    args,
-    payload: Callable[[], dict],
-    text_lines: Callable[[], list[str]],
-    csv_writer: Callable[[TextIO], None] | None = None,
-) -> None:
-    """Build and write only the form ``args.format`` asks for."""
-
-    def json_writer(out):
-        json.dump(payload(), out, indent=2)
+    form = {"json": doc, "text": lines, "csv": csv}[args.format]()
+    out = args._out
+    if form is None:  # the form wrote itself
+        return 0
+    if args.format == "json":
+        json.dump(form, out, indent=2)
         out.write("\n")
-
-    def text_writer(out):
-        for line in text_lines():
-            out.write(line + "\n")
-
-    _write(args, json_writer, text_writer, csv_writer)
+    elif args.format == "text":
+        out.writelines(line + "\n" for line in form)
+    else:
+        columns, rows = form
+        out.write(",".join(columns) + "\n")
+        out.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+    return 0
 
 
 def _write_json_rows(out: TextIO, fields: dict, blocks) -> None:
@@ -100,129 +103,109 @@ def _write_json_rows(out: TextIO, fields: dict, blocks) -> None:
     out.write("\n  ]\n}\n")
 
 
-def _safe_decimal(f: FactoredInt) -> str | None:
+def _value_fields(f: FactoredInt) -> dict:
+    """``factored``, ``decimal`` (None past the digit ceiling) and ``digits`` of f."""
     try:
-        return f.to_decimal()
+        decimal = f.to_decimal()
     except TooLarge:
-        return None
-
-
-# --- subcommand handlers ---
+        decimal = None
+    return {"factored": f.to_text(), "decimal": decimal, "digits": math.floor(f.log10_value()) + 1}
 
 
 def cmd_period(args) -> int:
-    n = _int_arg(args.n, "n")
-    traj = divisor.trajectory(n)
-    k = len(traj.steps) - 1
-    payload = {"n": n, "k": k, "trajectory": traj.steps}
-    lines = [f"k={k}", "trajectory: " + " -> ".join(map(str, traj.steps))]
-    _emit(args, lambda: payload, lambda: lines)
-    return 0
+    steps = divisor.trajectory(_int_arg(args.n, "n")).steps
+    k = len(steps) - 1
+    return _emit(
+        args,
+        lambda: {"n": steps[0], "k": k, "trajectory": steps},
+        lambda: [f"k={k}", "trajectory: " + " -> ".join(map(str, steps))],
+    )
 
 
 def cmd_table(args) -> int:
     sieve = divisor.Sieve(args.limit)
-
-    def text_writer(out):
-        top_k = max(divisor.first_occurrences(sieve))
-        top_d = hcn.max_divisor_count(sieve.limit)
-        out.write(f"table up to {sieve.limit}\nmax period: {top_k}\nmax d: {top_d}\n")
-
-    _write(
+    return _emit(
         args,
-        lambda out: _write_json_rows(out, {"limit": sieve.limit}, sieve.blocks(2, sieve.limit)),
-        text_writer,
-        lambda out: divisor.write_table_csv(sieve, out),
+        lambda: _write_json_rows(args._out, {"limit": sieve.limit}, sieve.blocks(2, sieve.limit)),
+        lambda: [
+            f"table up to {sieve.limit}",
+            f"max period: {max(divisor.first_occurrences(sieve))}",
+            f"max d: {hcn.max_divisor_count(sieve.limit)}",
+        ],
+        lambda: divisor.write_table_csv(sieve, args._out),
     )
-    return 0
 
 
 def cmd_first(args) -> int:
     occ = divisor.first_occurrences(divisor.Sieve(args.limit))
-    payload = {str(k): n for k, n in occ.items()}
-    lines = [f"k={k}: first at n={n}" for k, n in occ.items()]
-
-    def csv_writer(out):
-        out.write("k,n\n")
-        for k, n in occ.items():
-            out.write(f"{k},{n}\n")
-
-    _emit(args, lambda: payload, lambda: lines, csv_writer)
-    return 0
+    return _emit(
+        args,
+        lambda: {str(k): n for k, n in occ.items()},
+        lambda: [f"k={k}: first at n={n}" for k, n in occ.items()],
+        lambda: (("k", "n"), occ.items()),
+    )
 
 
 def cmd_hist(args) -> int:
     h = analysis.histogram(getattr(args, "from"), args.to)
-    payload = {"lo": h.lo, "hi": h.hi, "counts": {str(k): c for k, c in sorted(h.counts.items())}}
-    lines = [f"k={k}: {c}" for k, c in sorted(h.counts.items())]
-    _emit(args, lambda: payload, lambda: lines, lambda out: analysis.write_histogram_csv(h, out))
-    return 0
+    counts = sorted(h.counts.items())
+    return _emit(
+        args,
+        lambda: {"lo": h.lo, "hi": h.hi, "counts": {str(k): c for k, c in counts}},
+        lambda: [f"k={k}: {c}" for k, c in counts],
+        lambda: (("k", "count"), counts),
+    )
 
 
 def cmd_preimage(args) -> int:
     source = _parse_value(args.n)
     result = args.preimage(source)
-    dec = _safe_decimal(result)
-    payload = {
-        "input": source.to_text(),
-        "factored": result.to_text(),
-        "decimal": dec,
-        "digits": math.floor(result.log10_value()) + 1,
-        "divisor_count": str(result.divisor_count()),
-    }
-    lines = [
-        f"factored: {result.to_text()}",
-        f"decimal: {dec if dec is not None else '(beyond digit ceiling)'}",
-        f"digits: {payload['digits']}",
-        f"d(result) = {payload['divisor_count']}",
-    ]
-    _emit(args, lambda: payload, lambda: lines)
-    return 0
+    fields = _value_fields(result)
+    count = str(result.divisor_count())
+    return _emit(
+        args,
+        lambda: {"input": source.to_text(), **fields, "divisor_count": count},
+        lambda: [
+            f"factored: {fields['factored']}",
+            f"decimal: {fields['decimal'] or '(beyond digit ceiling)'}",
+            f"digits: {fields['digits']}",
+            f"d(result) = {count}",
+        ],
+    )
 
 
 def cmd_min_divisors(args) -> int:
     t = _int_arg(args.t, "target")
     result = construct.exact_min_with_divisors(t)
-    dec = _safe_decimal(result)
-    payload = {
-        "target": t,
-        "factored": result.to_text(),
-        "decimal": dec,
-        "digits": math.floor(result.log10_value()) + 1,
-    }
-    lines = [
-        f"min with {t} divisors: {result.to_text()}",
-        f"decimal: {dec if dec is not None else '(beyond digit ceiling)'}",
-    ]
-    _emit(args, lambda: payload, lambda: lines)
-    return 0
-
-
-def _chain_csv(records):
-    def csv_writer(out):
-        out.write("k,factored,decimal,digits,verification\n")
-        for r in records:
-            out.write(
-                f"{r.period},{r.value.to_text()},{r.decimal},{r.digit_count},{r.verification}\n"
-            )
-
-    return csv_writer
+    fields = _value_fields(result)
+    return _emit(
+        args,
+        lambda: {"target": t, **fields},
+        lambda: [
+            f"min with {t} divisors: {fields['factored']}",
+            f"decimal: {fields['decimal'] or '(beyond digit ceiling)'}",
+        ],
+    )
 
 
 def cmd_chain(args) -> int:
     records = construct.chain(args.max_k, args.bound)
-    payload = {"records": [construct.chain_record_json(r) for r in records]}
-    lines = []
-    for r in records:
-        flag = "" if r.canonical_match in (None, True) else "  [canonical construction disagrees]"
-        lines.append(
-            f"k={r.period}: {r.decimal} = {r.value.to_text()} ({r.verification}){flag}"
-        )
-    if len(records) < args.max_k:
-        lines.append(f"k={len(records) + 1}: not found within bound {args.bound}")
-        payload["not_found_from"] = len(records) + 1
-    _emit(args, lambda: payload, lambda: lines, _chain_csv(records))
-    return 0
+    missing = len(records) + 1 if len(records) < args.max_k else None
+    columns = ("k", "factored", "decimal", "digits", "verification")
+    rows = [(r.period, r.value.to_text(), r.decimal, r.digit_count, r.verification) for r in records]
+
+    def doc():
+        found = {"records": [dict(zip(columns, row)) for row in rows]}
+        return found if missing is None else {**found, "not_found_from": missing}
+
+    def lines():
+        for r in records:
+            flag = "" if r.canonical_match in (None, True) else "  [canonical construction disagrees]"
+            yield f"k={r.period}: {r.decimal} = {r.value.to_text()} ({r.verification}){flag}"
+        if missing is not None:
+            yield f"k={missing}: not found within bound {args.bound}"
+
+    return _emit(args, doc, lines, lambda: (columns, rows))
 
 
 def cmd_verify_theorem1(args) -> int:
@@ -236,71 +219,51 @@ def cmd_verify_theorem1(args) -> int:
         values = np.flatnonzero(first)
         for v, n in zip(values.tolist(), first[values].tolist()):
             sieve_min.setdefault(v, n)
+    # the CSV has all columns but the last
+    columns = ("t", "canonical", "oracle", "sieve_min", "canonical_is_minimal", "oracle_matches_sieve")
     rows = []
     for t in range(2, args.limit + 1):
         canon = construct.canonical_preimage(factorize(t))
         oracle = construct.exact_min_with_divisors(t)
         smin = sieve_min.get(t)
-        oracle_dec = _safe_decimal(oracle)
-        rows.append(
-            {
-                "t": t,
-                "canonical": canon.to_text(),
-                "oracle": oracle.to_text(),
-                "sieve_min": smin,
-                "canonical_is_minimal": canon.compare(oracle) == 0,
-                "oracle_matches_sieve": (
-                    None if smin is None else oracle_dec == str(smin)
-                ),
-            }
-        )
-    disagreements = [r for r in rows if not r["canonical_is_minimal"]]
-    payload = {"limit": args.limit, "disagreements": disagreements}
-    lines = [f"checked targets 2..{args.limit}: {len(disagreements)} disagreement(s)"]
-    for r in disagreements:
-        lines.append(
-            f"t={r['t']}: canonical {r['canonical']} > oracle {r['oracle']}"
-            + (f" (sieve min {r['sieve_min']})" if r["sieve_min"] else "")
-        )
+        matches = None if smin is None else oracle.value() == smin
+        rows.append((t, canon.to_text(), oracle.to_text(), smin, canon.compare(oracle) == 0, matches))
+    disagreements = [dict(zip(columns, row)) for row in rows if not row[4]]
 
-    def csv_writer(out):
-        out.write("t,canonical,oracle,sieve_min,canonical_is_minimal\n")
-        for r in rows:
-            out.write(
-                f"{r['t']},{r['canonical']},{r['oracle']},"
-                f"{r['sieve_min'] if r['sieve_min'] is not None else ''},"
-                f"{str(r['canonical_is_minimal']).lower()}\n"
-            )
+    def lines():
+        yield f"checked targets 2..{args.limit}: {len(disagreements)} disagreement(s)"
+        for r in disagreements:
+            sieved = f" (sieve min {r['sieve_min']})" if r["sieve_min"] else ""
+            yield f"t={r['t']}: canonical {r['canonical']} > oracle {r['oracle']}{sieved}"
 
-    _emit(args, lambda: payload, lambda: lines, csv_writer)
-    return 0
+    return _emit(
+        args,
+        lambda: {"limit": args.limit, "disagreements": disagreements},
+        lines,
+        lambda: (columns[:-1], [row[:-1] for row in rows]),
+    )
 
 
 def cmd_hcn(args) -> int:
     if args.check is not None:
         f = parse_factored(args.check)
         verdict = hcn.is_highly_composite(f, args.ceiling)
-        payload = {"value": f.to_text(), "is_hcn": verdict}
-        _emit(args, lambda: payload, lambda: [f"{f.to_text()}: {'highly composite' if verdict else 'not highly composite'}"])
-        return 0
+        return _emit(
+            args,
+            lambda: {"value": f.to_text(), "is_hcn": verdict},
+            lambda: [f"{f.to_text()}: {'highly composite' if verdict else 'not highly composite'}"],
+        )
     if args.log10_limit is None:
         raise InvalidArgument("hcn needs either --log10-limit or --check")
     records = hcn.enumerate_hcn(args.log10_limit)
-    payload = {
-        "records": [
-            {"decimal": r.decimal, "d": r.divisor_count, "factored": r.value.to_text()}
-            for r in records
-        ]
-    }
-    lines = [f"{r.decimal} = {r.value.to_text()} (d={r.divisor_count})" for r in records]
-
-    def csv_writer(out):
-        out.write("decimal,d,factored\n")
-        for r in records:
-            out.write(f"{r.decimal},{r.divisor_count},{r.value.to_text()}\n")
-
-    _emit(args, lambda: payload, lambda: lines, csv_writer)
-    return 0
+    columns = ("decimal", "d", "factored")
+    rows = [(r.decimal, r.divisor_count, r.value.to_text()) for r in records]
+    return _emit(
+        args,
+        lambda: {"records": [dict(zip(columns, row)) for row in rows]},
+        lambda: [f"{dec} = {factored} (d={d})" for dec, d, factored in rows],
+        lambda: (columns, rows),
+    )
 
 
 def cmd_wigert(args) -> int:
@@ -308,7 +271,7 @@ def cmd_wigert(args) -> int:
     sieve = divisor.Sieve(args.to)
     params = analysis.BoundParams(epsilon=args.epsilon, threshold_n0=args.n0)
 
-    def payload():
+    def doc():
         rep = analysis.wigert_scan(sieve, params, lo, args.to)
         return {
             "lo": rep.lo,
@@ -319,9 +282,7 @@ def cmd_wigert(args) -> int:
             "max_ratio": rep.max_ratio,
             "argmax_n": rep.argmax_n,
             "argmax_d": rep.argmax_d,
-            "violations": [
-                {"n": n, "d": d, "ratio": r} for n, d, r in rep.violations
-            ],
+            "violations": [{"n": n, "d": d, "ratio": r} for n, d, r in rep.violations],
         }
 
     def lines():
@@ -332,68 +293,64 @@ def cmd_wigert(args) -> int:
             f"violations above n0: {len(rep.violations)}",
         ] + [f"  n={n} d={d} r={r:.9f}" for n, d, r in rep.violations[:50]]
 
-    def csv_writer(out):
-        analysis.write_wigert_csv(sieve, lo, args.to, out)
-
-    _emit(args, payload, lines, csv_writer)
-    return 0
+    return _emit(args, doc, lines, lambda: analysis.write_wigert_csv(sieve, lo, args.to, args._out))
 
 
 def cmd_increment(args) -> int:
-    f = _parse_value(args.n)
-    rep = analysis.theorem2_increment(f)
-    payload = analysis.increment_report_json(rep)
-    lines = [
-        f"n = {rep.n.to_text()}",
-        f"delta_log10 = {rep.delta_log10:.6f}",
-        f"bound 0.545*nu(n) = {rep.bound:.6f}",
-        f"bound_holds = {rep.bound_holds}",
-        f"hypothesis_holds = {rep.hypothesis_holds}",
-    ]
-    _emit(args, lambda: payload, lambda: lines)
-    return 0
+    rep = analysis.theorem2_increment(_parse_value(args.n))
+    return _emit(
+        args,
+        lambda: {
+            "n": rep.n.to_text(),
+            "delta_log10": rep.delta_log10,
+            "bound": rep.bound,
+            "hypothesis_holds": rep.hypothesis_holds,
+            "bound_holds": rep.bound_holds,
+        },
+        lambda: [
+            f"n = {rep.n.to_text()}",
+            f"delta_log10 = {rep.delta_log10:.6f}",
+            f"bound 0.545*nu(n) = {rep.bound:.6f}",
+            f"bound_holds = {rep.bound_holds}",
+            f"hypothesis_holds = {rep.hypothesis_holds}",
+        ],
+    )
 
 
 def cmd_plot(args) -> int:
     rows = analysis.plot_data(divisor.Sieve(args.to), getattr(args, "from"), args.to)
 
-    def text_writer(out):
+    def lines():
         for start, k in rows.blocks():
-            divisor.write_rows(out, "%d,%d\n", start, k)
+            divisor.write_rows(args._out, "%d,%d\n", start, k)
 
-    _write(
+    return _emit(
         args,
-        lambda out: _write_json_rows(out, {}, rows.blocks()),
-        text_writer,
-        lambda out: analysis.write_plot_csv(rows, out),
+        lambda: _write_json_rows(args._out, {}, rows.blocks()),
+        lines,
+        lambda: analysis.write_plot_csv(rows, args._out),
     )
-    return 0
 
 
 def cmd_conjecture(args) -> int:
-    records = construct.chain(args.max_k, args.bound)
-    rows = hcn.conjecture_report(records, args.ceiling)
-    payload = {
-        "rows": [
-            {
-                "k": r.period,
-                "n_decimal": r.decimal,
-                "ln_n": r.ln_n,
-                "ratio": r.ratio,
-                "is_hcn": r.is_hcn,
-                "degenerate": r.degenerate,
-            }
-            for r in rows
-        ]
-    }
-    lines = []
-    for r in rows:
-        ratio = "-" if r.ratio is None else f"{r.ratio:.4f}"
-        verdict = "?" if r.is_hcn is None else str(r.is_hcn).lower()
-        flag = " [degenerate]" if r.degenerate else ""
-        lines.append(f"k={r.period}: n={r.decimal} ln_n={r.ln_n:.4f} ratio={ratio} hcn={verdict}{flag}")
-    _emit(args, lambda: payload, lambda: lines, lambda out: hcn.write_conjecture_csv(rows, out))
-    return 0
+    report = hcn.conjecture_report(construct.chain(args.max_k, args.bound), args.ceiling)
+    # the CSV has all columns but the last
+    columns = ("k", "n_decimal", "ln_n", "ratio", "is_hcn", "degenerate")
+    rows = [(r.period, r.decimal, r.ln_n, r.ratio, r.is_hcn, r.degenerate) for r in report]
+
+    def lines():
+        for r in report:
+            ratio = "-" if r.ratio is None else f"{r.ratio:.4f}"
+            verdict = "?" if r.is_hcn is None else str(r.is_hcn).lower()
+            flag = " [degenerate]" if r.degenerate else ""
+            yield f"k={r.period}: n={r.decimal} ln_n={r.ln_n:.4f} ratio={ratio} hcn={verdict}{flag}"
+
+    return _emit(
+        args,
+        lambda: {"rows": [dict(zip(columns, row)) for row in rows]},
+        lines,
+        lambda: (columns[:-1], [row[:-1] for row in rows]),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,96 +358,63 @@ def build_parser() -> argparse.ArgumentParser:
         prog="divperiod",
         description="Iterated divisor-function periods, minimal preimages, highly composite numbers.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    common.add_argument("--out", default=None, help="write output to this file instead of stdout")
-
+    shared = {
+        "--format": {"choices": ("text", "csv", "json"), "default": "text"},
+        "--out": {"default": None, "help": "write output to this file instead of stdout"},
+        "--from": {"type": int, "required": True},
+        "--to": {"type": int, "required": True},
+        "--limit": {"type": int, "required": True},
+        "--max-k": {"type": int, "required": True},
+        "--bound": {"type": int, "default": construct.DEFAULT_CANDIDATE_BOUND},
+        "--ceiling": {"type": float, "default": hcn.DEFAULT_LOG10_CEILING},
+        "n": {"help": "decimal or factored form"},
+    }
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("period", parents=[common], help="period k and trajectory of n")
-    p.add_argument("n")
-    p.set_defaults(func=cmd_period)
+    def command(name, func, help, *names):
+        """A subcommand with ``--format``, ``--out`` and the shared arguments ``names``."""
+        p = sub.add_parser(name, help=help)
+        for flag in ("--format", "--out", *names):
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("table", parents=[common], help="batch n,d,k table")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("first", parents=[common], help="least n per period value")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(func=cmd_first)
-
-    p = sub.add_parser("hist", parents=[common], help="period-frequency histogram")
-    p.add_argument("--from", type=int, required=True)
-    p.add_argument("--to", type=int, required=True)
-    p.set_defaults(func=cmd_hist)
-
-    p = sub.add_parser("construct", parents=[common], help="canonical minimal preimage")
-    p.add_argument("n", help="decimal or factored form")
-    p.set_defaults(func=cmd_preimage, preimage=construct.canonical_preimage)
-
-    p = sub.add_parser("naive", parents=[common], help="one-prime-per-factor preimage")
-    p.add_argument("n", help="decimal or factored form")
-    p.set_defaults(func=cmd_preimage, preimage=construct.naive_preimage)
-
-    p = sub.add_parser("min-divisors", parents=[common], help="smallest integer with exactly t divisors")
+    command("period", cmd_period, "period k and trajectory of n").add_argument("n")
+    command("table", cmd_table, "batch n,d,k table", "--limit")
+    command("first", cmd_first, "least n per period value", "--limit")
+    command("hist", cmd_hist, "period-frequency histogram", "--from", "--to")
+    p = command("construct", cmd_preimage, "canonical minimal preimage", "n")
+    p.set_defaults(preimage=construct.canonical_preimage)
+    p = command("naive", cmd_preimage, "one-prime-per-factor preimage", "n")
+    p.set_defaults(preimage=construct.naive_preimage)
+    p = command("min-divisors", cmd_min_divisors, "smallest integer with exactly t divisors")
     p.add_argument("t")
-    p.set_defaults(func=cmd_min_divisors)
-
-    p = sub.add_parser("chain", parents=[common], help="minimal n per period, k = 1..max-k")
-    p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--bound", type=int, default=construct.DEFAULT_CANDIDATE_BOUND)
-    p.set_defaults(func=cmd_chain)
-
-    p = sub.add_parser(
-        "verify-theorem1", parents=[common], help="canonical vs oracle vs sieve for all targets <= limit"
-    )
-    p.add_argument("--limit", type=int, required=True)
+    command("chain", cmd_chain, "minimal n per period, k = 1..max-k", "--max-k", "--bound")
+    p = command("verify-theorem1", cmd_verify_theorem1,
+                "canonical vs oracle vs sieve for all targets <= limit", "--limit")
     p.add_argument("--sieve-bound", type=int, default=10_000_000)
-    p.set_defaults(func=cmd_verify_theorem1)
-
-    p = sub.add_parser("hcn", parents=[common], help="highly composite numbers")
+    p = command("hcn", cmd_hcn, "highly composite numbers")
     p.add_argument("--log10-limit", type=float, default=None)
     p.add_argument("--check", default=None, help="factored form to test for membership")
-    p.add_argument("--ceiling", type=float, default=hcn.DEFAULT_LOG10_CEILING)
-    p.set_defaults(func=cmd_hcn)
-
-    p = sub.add_parser("wigert", parents=[common], help="maximal-order ratio scan")
-    p.add_argument("--from", type=int, required=True)
-    p.add_argument("--to", type=int, required=True)
+    p.add_argument("--ceiling", **shared["--ceiling"])
+    p = command("wigert", cmd_wigert, "maximal-order ratio scan", "--from", "--to")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--n0", type=int, default=10_000)
-    p.set_defaults(func=cmd_wigert)
-
-    p = sub.add_parser("increment", parents=[common], help="log10 growth vs 0.545*nu(n) bound")
-    p.add_argument("n", help="decimal or factored form")
-    p.set_defaults(func=cmd_increment)
-
-    p = sub.add_parser("plot", parents=[common], help="n,k rows for external plotting")
-    p.add_argument("--from", type=int, required=True)
-    p.add_argument("--to", type=int, required=True)
-    p.set_defaults(func=cmd_plot)
-
-    p = sub.add_parser("conjecture", parents=[common], help="growth-ratio and HCN report along the chain")
-    p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--bound", type=int, default=construct.DEFAULT_CANDIDATE_BOUND)
-    p.add_argument("--ceiling", type=float, default=hcn.DEFAULT_LOG10_CEILING)
-    p.set_defaults(func=cmd_conjecture)
-
+    command("increment", cmd_increment, "log10 growth vs 0.545*nu(n) bound", "n")
+    command("plot", cmd_plot, "n,k rows for external plotting", "--from", "--to")
+    command("conjecture", cmd_conjecture, "growth-ratio and HCN report along the chain",
+            "--max-k", "--bound", "--ceiling")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         with contextlib.ExitStack() as stack:
-            if args.out is not None:
-                args._out = stack.enter_context(open(args.out, "w"))
-            else:
-                args._out = sys.stdout
+            args._out = sys.stdout if args.out is None else stack.enter_context(open(args.out, "w"))
             return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

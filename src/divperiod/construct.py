@@ -236,14 +236,3 @@ def chain(
             rec.canonical_match = constructed.compare(rec.value) == 0
         records.append(rec)
     return records
-
-
-def chain_record_json(rec: ChainRecord) -> dict:
-    """The documented JSON shape for one chain entry."""
-    return {
-        "k": rec.period,
-        "factored": rec.value.to_text(),
-        "decimal": rec.decimal,
-        "digits": rec.digit_count,
-        "verification": rec.verification,
-    }

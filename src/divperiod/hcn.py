@@ -149,12 +149,3 @@ def conjecture_report(
         )
         prev_ln = ln_n
     return rows
-
-
-def write_conjecture_csv(rows: list[ConjectureRow], out) -> None:
-    """Export rows ``k,n_decimal,ln_n,ratio,is_hcn``."""
-    out.write("k,n_decimal,ln_n,ratio,is_hcn\n")
-    for r in rows:
-        ratio = "" if r.ratio is None else f"{r.ratio:.6f}"
-        hcn = "" if r.is_hcn is None else str(r.is_hcn).lower()
-        out.write(f"{r.period},{r.decimal},{r.ln_n:.6f},{ratio},{hcn}\n")

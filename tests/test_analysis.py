@@ -25,8 +25,6 @@ from divperiod.analysis import (
     HISTOGRAM_CEILING,
     WigertReport,
     _prime_counts,
-    increment_report_json,
-    write_histogram_csv,
     write_plot_csv,
     write_wigert_csv,
 )
@@ -108,8 +106,6 @@ def test_bound_params_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidArgument):
             BoundParams(epsilon=bad)
-        with pytest.raises(InvalidArgument):
-            BoundParams(growth_constant_c=bad)
 
 
 def test_max_order_ratio_examples():
@@ -174,13 +170,6 @@ def test_increment_nonnegative():
         assert theorem2_increment(factorize(n)).delta_log10 >= 0
 
 
-def test_increment_json():
-    rep = theorem2_increment(factorize(12))
-    js = increment_report_json(rep)
-    assert set(js) == {"n", "delta_log10", "bound", "hypothesis_holds", "bound_holds"}
-    assert js["n"] == "2^2*3"
-
-
 def test_plot_data(table_100k):
     rows = plot_data(table_100k, 2, 350)
     assert len(rows) == 349
@@ -191,10 +180,6 @@ def test_plot_data(table_100k):
 
 
 def test_csv_writers(table_100k):
-    buf = io.StringIO()
-    write_histogram_csv(histogram(2, 12), buf)
-    assert buf.getvalue().splitlines()[0] == "k,count"
-
     buf = io.StringIO()
     write_plot_csv(plot_data(table_100k, 2, 10), buf)
     lines = buf.getvalue().splitlines()

@@ -190,6 +190,14 @@ def test_increment(capsys):
     assert js["hypothesis_holds"] is False and js["bound_holds"] is False
 
 
+def test_increment_json(capsys):
+    code, out, _ = run(capsys, "increment", "12", "--format", "json")
+    assert code == 0
+    js = json.loads(out)
+    assert set(js) == {"n", "delta_log10", "bound", "hypothesis_holds", "bound_holds"}
+    assert js["n"] == "2^2*3"
+
+
 def test_plot_csv(capsys):
     code, out, _ = run(capsys, "plot", "--from", "2", "--to", "350", "--format", "csv")
     assert code == 0
@@ -202,7 +210,69 @@ def test_plot_csv(capsys):
 def test_conjecture_csv(capsys):
     code, out, _ = run(capsys, "conjecture", "--max-k", "6", "--bound", "6000", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[0] == "k,n_decimal,ln_n,ratio,is_hcn"
+    lines = out.splitlines()
+    assert lines[0] == "k,n_decimal,ln_n,ratio,is_hcn"
+    assert len(lines) == 7
+    assert lines[1].startswith("1,2,0.693147,,true")
+
+
+# The exact bytes of each form, as the command line writes them.
+FORMS = [
+    (
+        "first --limit 6000",
+        "k=1: first at n=2\nk=2: first at n=4\nk=3: first at n=6\n"
+        "k=4: first at n=12\nk=5: first at n=60\nk=6: first at n=5040\n",
+    ),
+    ("first --limit 6000 --format csv", "k,n\n1,2\n2,4\n3,6\n4,12\n5,60\n6,5040\n"),
+    ("hist --from 2 --to 12", "k=1: 5\nk=2: 2\nk=3: 3\nk=4: 1\n"),
+    ("hist --from 2 --to 12 --format csv", "k,count\n1,5\n2,2\n3,3\n4,1\n"),
+    (
+        "hist --from 2 --to 12 --format json",
+        '{\n  "lo": 2,\n  "hi": 12,\n  "counts": {\n    "1": 5,\n    "2": 2,\n'
+        '    "3": 3,\n    "4": 1\n  }\n}\n',
+    ),
+    (
+        "chain --max-k 4 --bound 100 --format csv",
+        "k,factored,decimal,digits,verification\n1,2,2,1,sieve-verified\n"
+        "2,2^2,4,1,sieve-verified\n3,2*3,6,1,sieve-verified\n4,2^2*3,12,2,sieve-verified\n",
+    ),
+    (
+        "verify-theorem1 --limit 20 --sieve-bound 1000 --format csv",
+        "t,canonical,oracle,sieve_min,canonical_is_minimal\n2,2,2,2,true\n3,2^2,2^2,4,true\n"
+        "4,2*3,2*3,6,true\n5,2^4,2^4,16,true\n6,2^2*3,2^2*3,12,true\n7,2^6,2^6,64,true\n"
+        "8,2*3*5,2^3*3,24,false\n9,2^2*3^2,2^2*3^2,36,true\n10,2^4*3,2^4*3,48,true\n"
+        "11,2^10,2^10,,true\n12,2^2*3*5,2^2*3*5,60,true\n13,2^12,2^12,,true\n"
+        "14,2^6*3,2^6*3,192,true\n15,2^4*3^2,2^4*3^2,144,true\n16,2*3*5*7,2^3*3*5,120,false\n"
+        "17,2^16,2^16,,true\n18,2^2*3^2*5,2^2*3^2*5,180,true\n19,2^18,2^18,,true\n"
+        "20,2^4*3*5,2^4*3*5,240,true\n",
+    ),
+    (
+        "hcn --log10-limit 2.1 --format csv",
+        "decimal,d,factored\n1,1,1\n2,2,2\n4,3,2^2\n6,4,2*3\n12,6,2^2*3\n24,8,2^3*3\n"
+        "36,9,2^2*3^2\n48,10,2^4*3\n60,12,2^2*3*5\n120,16,2^3*3*5\n",
+    ),
+    (
+        "conjecture --max-k 6 --bound 6000 --format csv",
+        "k,n_decimal,ln_n,ratio,is_hcn\n1,2,0.693147,,true\n2,4,1.386294,0.235617,true\n"
+        "3,6,1.791759,0.650978,true\n4,12,2.484907,0.946886,true\n"
+        "5,60,4.094345,1.234236,true\n6,5040,8.525161,1.484851,true\n",
+    ),
+    (
+        "increment 12",
+        "n = 2^2*3\ndelta_log10 = 0.698970\nbound 0.545*nu(n) = 1.090000\n"
+        "bound_holds = False\nhypothesis_holds = False\n",
+    ),
+    (
+        "construct 5040",
+        "factored: 2^6*3^4*5^2*7^2*11*13*17*19\ndecimal: 293318625600\ndigits: 12\n"
+        "d(result) = 5040\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", FORMS, ids=[argv for argv, _ in FORMS])
+def test_form_bytes(capsys, argv, expected):
+    assert run(capsys, *argv.split()) == (0, expected, "")
 
 
 def test_out_flag(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from divperiod import (
     period_table,
 )
 from divperiod.errors import ResourceLimit
-from divperiod.hcn import write_conjecture_csv
 
 
 def test_enumerate_small():
@@ -92,13 +90,3 @@ def test_conjecture_report():
 def test_conjecture_needs_two_records():
     with pytest.raises(InvalidArgument):
         conjecture_report(chain(1, candidate_bound=100))
-
-
-def test_conjecture_csv():
-    rows = conjecture_report(chain(6, candidate_bound=6_000))
-    buf = io.StringIO()
-    write_conjecture_csv(rows, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "k,n_decimal,ln_n,ratio,is_hcn"
-    assert len(lines) == 7
-    assert lines[1].startswith("1,2,0.693147,,true")
