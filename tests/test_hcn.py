@@ -13,6 +13,7 @@ from divperiod import (
     is_highly_composite,
     period_table,
 )
+from divperiod.cli import main
 from divperiod.errors import ResourceLimit
 
 
@@ -90,3 +91,17 @@ def test_conjecture_report():
 def test_conjecture_needs_two_records():
     with pytest.raises(InvalidArgument):
         conjecture_report(chain(1, candidate_bound=100))
+
+
+def test_conjecture_csv(capsys):
+    rows = conjecture_report(chain(6, candidate_bound=6_000))
+    assert main(["conjecture", "--max-k", "6", "--bound", "6000", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "k,n_decimal,ln_n,ratio,is_hcn"
+    assert len(lines) == 7
+    assert lines[1].startswith("1,2,0.693147,,true")
+    # each CSV row is the report row of the same period, to six decimals
+    for r, line in zip(rows, lines[1:]):
+        ratio = "" if r.ratio is None else f"{r.ratio:.6f}"
+        hcn = "" if r.is_hcn is None else str(r.is_hcn).lower()
+        assert line == f"{r.period},{r.decimal},{r.ln_n:.6f},{ratio},{hcn}"
