@@ -25,6 +25,7 @@ from .divisor import (
 from .errors import InvalidArgument, ResourceLimit
 from .factored import FactoredInt
 from .hcn import LN2
+from .primes import build_table
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,48 @@ def _divisor_count_census(n: int) -> np.ndarray:
     return leaf_sums + counts
 
 
+def least_by_divisor_count(n: int) -> dict[int, int]:
+    """For every v, the least 1 <= m <= n with d(m) = v, in order of v.
+
+    The walk of ``_divisor_count_census``, keeping the least m of each
+    divisor count instead of the number of them.  Of the m * q with q
+    prime above P(m), the least is m times the next prime.  In a run of
+    leaves m * p with p^2 <= n // m < p^3 only the first p matters: m * p^2
+    and m * p * p', p' the prime after p, are the least of their counts
+    in the run.  Every prime of m is at most sqrt(n), so the primes to
+    2 * isqrt(n) + 2 hold the next prime after each (Bertrand's postulate).
+    """
+    least = {1: 1} if n >= 1 else {}
+    primes = build_table(2 * math.isqrt(n) + 2).primes.tolist()
+
+    def offer(v: int, m: int) -> None:
+        if m < least.get(v, m + 1):
+            least[v] = m
+
+    def walk(m: int, dm: int, i: int) -> None:
+        # d(m) = dm, and the primes above those of m are primes[j], j >= i
+        lim = n // m
+        if primes[i] <= lim:
+            offer(2 * dm, m * primes[i])
+        for j in range(i, len(primes)):
+            p = primes[j]
+            if p * p > lim:
+                return
+            if p * p * p > lim:
+                offer(3 * dm, m * p * p)
+                if p * primes[j + 1] <= lim:
+                    offer(4 * dm, m * p * primes[j + 1])
+                return
+            pe, e = p, 1
+            while pe * p <= lim:
+                walk(m * pe, dm * (e + 1), j + 1)
+                offer(dm * (e + 2), m * pe * p)
+                pe, e = pe * p, e + 1
+
+    walk(1, 1, 0)
+    return dict(sorted(least.items()))
+
+
 def histogram(lo: int, hi: int) -> Histogram:
     """Period-frequency counts over [lo, hi], counted, not sieved.
 
@@ -201,6 +244,13 @@ _SCREEN_FROM = 16
 _SCREEN_MARGIN = 1e-9
 
 
+def _check_scan_range(table: PeriodTable | Sieve, lo: int, hi: int) -> None:
+    if lo < 3:
+        raise InvalidArgument("scan needs lo >= 3 (ln ln n must be defined)")
+    if not lo <= hi <= table.limit:
+        raise InvalidArgument(f"range [{lo}, {hi}] outside table limit {table.limit}")
+
+
 def wigert_scan(
     table: PeriodTable | Sieve, params: BoundParams, lo: int, hi: int
 ) -> WigertReport:
@@ -215,10 +265,7 @@ def wigert_scan(
     full scan's: the same numpy ratio, the least n among equal maxima, and
     violations in order.  Blocks that start below 16 are scanned whole.
     """
-    if lo < 3:
-        raise InvalidArgument("scan needs lo >= 3 (ln ln n must be defined)")
-    if not lo <= hi <= table.limit:
-        raise InvalidArgument(f"range [{lo}, {hi}] outside table limit {table.limit}")
+    _check_scan_range(table, lo, hi)
     threshold = LN2 * (1.0 + params.epsilon)
     max_ratio, argmax_n, argmax_d = -math.inf, lo, 0
     violations: list[tuple[int, int, float]] = []
@@ -305,8 +352,7 @@ def write_wigert_csv(table: PeriodTable | Sieve, lo: int, hi: int, out: TextIO) 
     may differ from the libm log of ``max_order_ratio`` in the last place,
     never in the nine decimals written.
     """
-    if lo < 3 or not lo <= hi <= table.limit:
-        raise InvalidArgument(f"range [{lo}, {hi}] invalid for table limit {table.limit}")
+    _check_scan_range(table, lo, hi)
     out.write("n,d,ratio\n")
     for start, d, _ in table.blocks(lo, hi):
         n = np.arange(start, start + d.size, dtype=np.float64)

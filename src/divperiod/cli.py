@@ -17,11 +17,9 @@ import os
 import sys
 from typing import Callable, TextIO
 
-import numpy as np
-
 from . import analysis, construct, divisor, hcn
 from .errors import DomainError, InvalidArgument, TooLarge
-from .factored import FactoredInt, parse as parse_factored
+from .factored import FactoredInt, int_to_decimal, parse as parse_factored
 from .primes import factorize
 
 
@@ -103,12 +101,17 @@ def _write_json_rows(out: TextIO, fields: dict, blocks) -> None:
     out.write("\n  ]\n}\n")
 
 
+def _below_ceiling(render: Callable[[], str]) -> str | None:
+    """``render()``, or None past the digit ceiling."""
+    try:
+        return render()
+    except TooLarge:
+        return None
+
+
 def _value_fields(f: FactoredInt) -> dict:
     """``factored``, ``decimal`` (None past the digit ceiling) and ``digits`` of f."""
-    try:
-        decimal = f.to_decimal()
-    except TooLarge:
-        decimal = None
+    decimal = _below_ceiling(f.to_decimal)
     return {"factored": f.to_text(), "decimal": decimal, "digits": math.floor(f.log10_value()) + 1}
 
 
@@ -161,7 +164,7 @@ def cmd_preimage(args) -> int:
     source = _parse_value(args.n)
     result = args.preimage(source)
     fields = _value_fields(result)
-    count = str(result.divisor_count())
+    count = _below_ceiling(lambda: int_to_decimal(result.divisor_count()))
     return _emit(
         args,
         lambda: {"input": source.to_text(), **fields, "divisor_count": count},
@@ -169,7 +172,7 @@ def cmd_preimage(args) -> int:
             f"factored: {fields['factored']}",
             f"decimal: {fields['decimal'] or '(beyond digit ceiling)'}",
             f"digits: {fields['digits']}",
-            f"d(result) = {count}",
+            f"d(result) = {count or '(beyond digit ceiling)'}",
         ],
     )
 
@@ -209,16 +212,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_verify_theorem1(args) -> int:
-    # least n with d(n) = v: in each block scatter n from the top down, so
-    # the least lands last; a value keeps the first block it appears in
-    sieve_min: dict[int, int] = {}
-    sieve = divisor.Sieve(args.sieve_bound)
-    for start, d in sieve.divisor_blocks(1, sieve.limit):
-        first = np.zeros(int(d.max()) + 1, dtype=np.int64)
-        first[d[::-1]] = np.arange(start + d.size - 1, start - 1, -1)
-        values = np.flatnonzero(first)
-        for v, n in zip(values.tolist(), first[values].tolist()):
-            sieve_min.setdefault(v, n)
+    divisor._check_limit(args.sieve_bound)
+    sieve_min = analysis.least_by_divisor_count(args.sieve_bound)
     # the CSV has all columns but the last
     columns = ("t", "canonical", "oracle", "sieve_min", "canonical_is_minimal", "oracle_matches_sieve")
     rows = []

@@ -158,15 +158,14 @@ class Sieve:
         self.limit = limit
         self._period_by_d = _period_by_divisor_count(_head_periods(2 * math.isqrt(limit) + 2))
 
-    def divisor_blocks(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-        """``(start, d)`` for consecutive blocks of at most BLOCK values covering [lo, hi]."""
+    def blocks(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(start, d, k)`` for consecutive blocks of at most BLOCK values covering [lo, hi].
+
+        k is 0 at n = 1.
+        """
         _check_range(self.limit, lo, hi)
         for start in range(lo, hi + 1, BLOCK):
-            yield start, _divisor_block(start, min(start + BLOCK - 1, hi))
-
-    def blocks(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """``(start, d, k)`` for consecutive blocks covering [lo, hi]; k is 0 at n = 1."""
-        for start, d in self.divisor_blocks(lo, hi):
+            d = _divisor_block(start, min(start + BLOCK - 1, hi))
             yield start, d, self._period_by_d[d]
 
 

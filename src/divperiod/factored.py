@@ -11,6 +11,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InvalidArgument, TooLarge
 from .primes import is_prime
@@ -103,18 +104,7 @@ class FactoredInt:
     # --- rendering ---
 
     def to_decimal(self, max_digits: int = DEFAULT_DIGIT_CEILING) -> str:
-        digits = math.floor(self.log10_value()) + 1
-        if digits > max_digits:
-            raise TooLarge(f"value has ~{digits} digits, above the ceiling of {max_digits}")
-        old_limit = sys.get_int_max_str_digits()
-        if not 0 < old_limit <= digits:
-            return str(self.value())
-        # the limit is process-wide: lift it for this one conversion only
-        sys.set_int_max_str_digits(digits + 10)
-        try:
-            return str(self.value())
-        finally:
-            sys.set_int_max_str_digits(old_limit)
+        return _decimal(self.value, math.floor(self.log10_value()) + 1, max_digits)
 
     def to_text(self) -> str:
         """Canonical text form, e.g. 2^6*3^4*5^2*7^2*11*13*17*19."""
@@ -124,6 +114,26 @@ class FactoredInt:
 
     def __str__(self):
         return self.to_text()
+
+
+def int_to_decimal(n: int, max_digits: int = DEFAULT_DIGIT_CEILING) -> str:
+    """Decimal text of an integer n >= 1, under the digit ceiling of ``FactoredInt.to_decimal``."""
+    return _decimal(lambda: n, math.floor(math.log10(n)) + 1, max_digits)
+
+
+def _decimal(value: Callable[[], int], digits: int, max_digits: int) -> str:
+    """``str(value())`` for a value of about ``digits`` digits; TooLarge past ``max_digits``."""
+    if digits > max_digits:
+        raise TooLarge(f"value has ~{digits} digits, above the ceiling of {max_digits}")
+    old_limit = sys.get_int_max_str_digits()
+    if not 0 < old_limit <= digits:
+        return str(value())
+    # the limit is process-wide: lift it for this one conversion only
+    sys.set_int_max_str_digits(digits + 10)
+    try:
+        return str(value())
+    finally:
+        sys.set_int_max_str_digits(old_limit)
 
 
 def parse(text: str) -> FactoredInt:

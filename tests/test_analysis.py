@@ -25,13 +25,16 @@ from divperiod.analysis import (
     HISTOGRAM_CEILING,
     WigertReport,
     _prime_counts,
+    least_by_divisor_count,
     write_plot_csv,
     write_wigert_csv,
 )
 from divperiod.divisor import BLOCK
 from divperiod.primes import SIEVE_CEILING
 
-from conftest import cli_peak_kb, first_difference, k_naive, needs_vmhwm, sieve_histogram
+from conftest import (
+    cli_peak_kb, d_naive, first_difference, k_naive, needs_vmhwm, sieve_histogram,
+)
 
 LN2 = math.log(2)
 
@@ -191,6 +194,37 @@ def test_csv_writers(table_100k):
     lines = buf.getvalue().splitlines()
     assert lines[0] == "n,d,ratio"
     assert len(lines) == 9
+
+
+def test_least_by_divisor_count_matches_naive_on_every_prefix():
+    least: dict[int, int] = {}
+    assert least_by_divisor_count(0) == {}
+    for n in range(1, 3_001):
+        least.setdefault(d_naive(n), n)
+        assert least_by_divisor_count(n) == dict(sorted(least.items())), n
+
+
+def _least_by_sieve(divisor_of: np.ndarray) -> dict[int, int]:
+    """The least n >= 1 of each d in ``divisor_of[1:]``, read off the whole table."""
+    values, first = np.unique(divisor_of[1:], return_index=True)
+    return {int(v): int(i) + 1 for v, i in zip(values, first)}
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 5_000_000])
+def test_least_by_divisor_count_matches_sieve(table_5m, n):
+    assert least_by_divisor_count(n) == _least_by_sieve(table_5m.divisor_of[: n + 1])
+
+
+@pytest.fixture(scope="module")
+def least_5m(table_5m):
+    return _least_by_sieve(table_5m.divisor_of)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2_000_000))
+def test_least_by_divisor_count_random_bounds(least_5m, n):
+    # the least m <= n with d(m) = v is the least m <= 5 * 10^6, if that is <= n
+    assert least_by_divisor_count(n) == {v: m for v, m in least_5m.items() if m <= n}
 
 
 def _wigert_reference(d_all, params, lo, hi):

@@ -1,9 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from divperiod import FactoredInt
 from divperiod.cli import main
 from divperiod.divisor import BLOCK
 
@@ -153,6 +155,18 @@ def test_verify_theorem1(capsys):
     assert 16 in gaps
 
 
+@pytest.mark.parametrize(
+    "bound,message",
+    [
+        ("1", "error: table limit must be >= 2, got 1\n"),
+        ("200000001", "error: table limit 200000001 exceeds ceiling 200000000\n"),
+    ],
+    ids=["below-two", "past-ceiling"],
+)
+def test_verify_theorem1_sieve_bound_limits(capsys, bound, message):
+    assert run(capsys, "verify-theorem1", "--limit", "20", "--sieve-bound", bound) == (1, "", message)
+
+
 def test_hcn_list(capsys):
     code, out, _ = run(capsys, "hcn", "--log10-limit", "2.1", "--format", "json")
     assert code == 0
@@ -181,6 +195,19 @@ def test_wigert(capsys):
     js = json.loads(out)
     assert js["max_ratio"] > 0.8
     assert any(v["n"] == 60 for v in js["violations"])
+
+
+@pytest.mark.parametrize(
+    "lo,hi,message",
+    [
+        ("2", "100", "error: scan needs lo >= 3 (ln ln n must be defined)\n"),
+        ("200", "100", "error: range [200, 100] outside table limit 100\n"),
+    ],
+    ids=["lo-below-three", "lo-above-hi"],
+)
+def test_wigert_range_errors_agree_across_formats(capsys, lo, hi, message):
+    for fmt in ("text", "json", "csv"):
+        assert run(capsys, "wigert", "--from", lo, "--to", hi, "--format", fmt) == (1, "", message)
 
 
 def test_increment(capsys):
@@ -273,6 +300,32 @@ FORMS = [
 @pytest.mark.parametrize("argv,expected", FORMS, ids=[argv for argv, _ in FORMS])
 def test_form_bytes(capsys, argv, expected):
     assert run(capsys, *argv.split()) == (0, expected, "")
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+@pytest.mark.parametrize(
+    "command,n",
+    [
+        # 6,021 digits, past the 4,300 that str() of an int allows by default
+        ("construct", FactoredInt(((2, 20_000),))),
+        # 16 prime powers below 2^1000: about 4,800 digits
+        ("naive", FactoredInt(tuple((p, int(1000 / math.log2(p))) for p in SMALL_PRIMES))),
+        # 12,042 digits, past the digit ceiling of 10,000
+        ("construct", FactoredInt(((2, 40_000),))),
+    ],
+    ids=["construct-6021-digits", "naive-4800-digits", "construct-past-ceiling"],
+)
+def test_preimage_divisor_count_digit_ceiling(capsys, command, n):
+    # d(result) = n for both preimages, rendered as the decimal of a value is
+    count = n.to_decimal() if n.log10_value() < 10_000 else None
+    code, out, err = run(capsys, command, n.to_text(), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["divisor_count"] == count
+    code, out, err = run(capsys, command, n.to_text())
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"d(result) = {count or '(beyond digit ceiling)'}"
 
 
 def test_out_flag(tmp_path, capsys):

@@ -316,3 +316,10 @@ def test_verify_theorem1_sieve_min(capsys):
 
 def test_verify_theorem1_sieve_min_across_blocks(capsys):
     _check_verify_theorem1_sieve_min(capsys, 3 * BLOCK + 7)
+
+
+def test_verify_theorem1_sieves_no_block(block_calls, capsys):
+    # the least n per divisor count to the default bound 10^7 comes from a walk
+    assert main(["verify-theorem1", "--limit", "100", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.count("\n") == 100
+    assert block_calls == []

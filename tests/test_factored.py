@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from divperiod import FactoredInt, InvalidArgument, TooLarge, factorize, parse
+from divperiod.factored import int_to_decimal
 
 L = FactoredInt(((2, 6), (3, 4), (5, 2), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1)))
 N5040 = FactoredInt(((2, 4), (3, 2), (5, 1), (7, 1)))
@@ -62,6 +63,9 @@ def test_to_decimal_ceiling():
     with pytest.raises(TooLarge, match="10000"):
         FactoredInt(((2, 40_000),)).to_decimal()
     assert len(FactoredInt(((2, 40_000),)).to_decimal(max_digits=13_000)) == 12_042
+    with pytest.raises(TooLarge, match="10000"):
+        int_to_decimal(2**40_000)
+    assert int_to_decimal(2**40_000, max_digits=13_000) == FactoredInt(((2, 40_000),)).to_decimal(13_000)
 
 
 def test_to_decimal_keeps_int_digit_limit():
@@ -69,6 +73,8 @@ def test_to_decimal_keeps_int_digit_limit():
     sys.set_int_max_str_digits(4300)  # the interpreter's default, below 6,021 digits
     try:
         assert len(FactoredInt(((2, 20_000),)).to_decimal()) == 6_021
+        assert sys.get_int_max_str_digits() == 4300
+        assert len(int_to_decimal(2**20_000)) == 6_021
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(before)
