@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tour of the basic dynamics: trajectories, periods, and batch tables.
+"""Tour of the basic dynamics: trajectories, periods, and their census.
 
 Iterating d(n) always falls into the fixed point 2 (for n >= 2), and the
 number of steps -- the period k(n) -- grows astonishingly slowly.
@@ -15,15 +15,16 @@ print("period k(60) =", dp.period(60))
 # Primes all have period 1 (d(p) = 2 immediately).
 print("k(97) =", dp.period(97), " k(9973) =", dp.period(9973))
 
-# Batch: sieve d(n) and k(n) for every n up to five million in one go.
-table = dp.period_table(5_000_000)
+# The least n of each period up to five million.  k(n) depends on n only
+# through d(n), so this needs only the least n of each divisor count, which
+# a walk over prime signatures finds without sieving n at all.
 print("\nfirst n attaining each period:")
-for k, n in dp.first_occurrences(table).items():
+for k, n in dp.first_occurrences(5_000_000).items():
     print(f"  k={k}: n={n}")
 
 # How are the periods distributed?  Small periods utterly dominate.  The
-# histogram is counted from prime counts, not read from the table: k(n)
-# depends on n only through d(n), so it needs #{n <= N : d(n) = v} alone.
+# histogram is counted from prime counts, for the same reason: it needs
+# #{n <= N : d(n) = v} alone.
 hist = dp.histogram(2, 5_000_000)
 total = sum(hist.counts.values())
 print("\nperiod frequencies up to 5e6:")

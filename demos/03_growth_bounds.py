@@ -25,9 +25,10 @@ for n in (12, 60, 5040):
 print(f"\nr(60) = {dp.max_order_ratio(60, 12):.4f}  (> ln 2 = {math.log(2):.4f})")
 print(f"r(9973) = {dp.max_order_ratio(9973, 2):.4f}  (primes sink fast)")
 
-# Scan the whole range: the maximum sits at a record-breaking composite.
-table = dp.period_table(5_000_000)
-rep = dp.wigert_scan(table, dp.BoundParams(epsilon=0.1, threshold_n0=10_000), 10_000, 5_000_000)
+# Scan the whole range, one sieved block at a time: the maximum sits at a
+# record-breaking composite.
+sieve = dp.Sieve(5_000_000)
+rep = dp.wigert_scan(sieve, dp.BoundParams(epsilon=0.1, threshold_n0=10_000), 10_000, 5_000_000)
 print(
     f"\nmax r(n) on [1e4, 5e6]: {rep.max_ratio:.6f} at n={rep.argmax_n} (d={rep.argmax_d})"
 )

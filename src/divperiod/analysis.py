@@ -15,17 +15,10 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .construct import canonical_preimage
-from .divisor import (
-    PeriodTable,
-    Sieve,
-    _head_periods,
-    _period_by_divisor_count,
-    write_rows,
-)
+from .divisor import PeriodTable, Sieve, _periods_by_count, write_rows
 from .errors import InvalidArgument, ResourceLimit
 from .factored import FactoredInt
 from .hcn import LN2
-from .primes import build_table
 
 
 @dataclass(frozen=True)
@@ -137,48 +130,6 @@ def _divisor_count_census(n: int) -> np.ndarray:
     return leaf_sums + counts
 
 
-def least_by_divisor_count(n: int) -> dict[int, int]:
-    """For every v, the least 1 <= m <= n with d(m) = v, in order of v.
-
-    The walk of ``_divisor_count_census``, keeping the least m of each
-    divisor count instead of the number of them.  Of the m * q with q
-    prime above P(m), the least is m times the next prime.  In a run of
-    leaves m * p with p^2 <= n // m < p^3 only the first p matters: m * p^2
-    and m * p * p', p' the prime after p, are the least of their counts
-    in the run.  Every prime of m is at most sqrt(n), so the primes to
-    2 * isqrt(n) + 2 hold the next prime after each (Bertrand's postulate).
-    """
-    least = {1: 1} if n >= 1 else {}
-    primes = build_table(2 * math.isqrt(n) + 2).primes.tolist()
-
-    def offer(v: int, m: int) -> None:
-        if m < least.get(v, m + 1):
-            least[v] = m
-
-    def walk(m: int, dm: int, i: int) -> None:
-        # d(m) = dm, and the primes above those of m are primes[j], j >= i
-        lim = n // m
-        if primes[i] <= lim:
-            offer(2 * dm, m * primes[i])
-        for j in range(i, len(primes)):
-            p = primes[j]
-            if p * p > lim:
-                return
-            if p * p * p > lim:
-                offer(3 * dm, m * p * p)
-                if p * primes[j + 1] <= lim:
-                    offer(4 * dm, m * p * primes[j + 1])
-                return
-            pe, e = p, 1
-            while pe * p <= lim:
-                walk(m * pe, dm * (e + 1), j + 1)
-                offer(dm * (e + 2), m * pe * p)
-                pe, e = pe * p, e + 1
-
-    walk(1, 1, 0)
-    return dict(sorted(least.items()))
-
-
 def histogram(lo: int, hi: int) -> Histogram:
     """Period-frequency counts over [lo, hi], counted, not sieved.
 
@@ -199,7 +150,7 @@ def histogram(lo: int, hi: int) -> Histogram:
     by_d = _divisor_count_census(hi)
     below = _divisor_count_census(lo - 1)
     by_d[: below.size] -= below
-    k = _period_by_divisor_count(_head_periods(by_d.size - 1))
+    k = _periods_by_count(by_d.size - 1)
     counts = {int(j): int(by_d[k == j].sum()) for j in np.unique(k[by_d > 0])}
     return Histogram(lo, hi, counts)
 

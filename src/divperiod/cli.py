@@ -110,9 +110,14 @@ def _below_ceiling(render: Callable[[], str]) -> str | None:
 
 
 def _value_fields(f: FactoredInt) -> dict:
-    """``factored``, ``decimal`` (None past the digit ceiling) and ``digits`` of f."""
-    decimal = _below_ceiling(f.to_decimal)
-    return {"factored": f.to_text(), "decimal": decimal, "digits": math.floor(f.log10_value()) + 1}
+    """``factored``, ``decimal`` and ``digits`` of f.
+
+    ``decimal`` is None past the digit ceiling, ``digits`` only once log10
+    of f is past the float range.
+    """
+    log10 = f.log10_value()
+    digits = None if log10 == math.inf else math.floor(log10) + 1
+    return {"factored": f.to_text(), "decimal": _below_ceiling(f.to_decimal), "digits": digits}
 
 
 def cmd_period(args) -> int:
@@ -132,7 +137,7 @@ def cmd_table(args) -> int:
         lambda: _write_json_rows(args._out, {"limit": sieve.limit}, sieve.blocks(2, sieve.limit)),
         lambda: [
             f"table up to {sieve.limit}",
-            f"max period: {max(divisor.first_occurrences(sieve))}",
+            f"max period: {max(divisor.first_occurrences(sieve.limit))}",
             f"max d: {hcn.max_divisor_count(sieve.limit)}",
         ],
         lambda: divisor.write_table_csv(sieve, args._out),
@@ -140,7 +145,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_first(args) -> int:
-    occ = divisor.first_occurrences(divisor.Sieve(args.limit))
+    occ = divisor.first_occurrences(args.limit)
     return _emit(
         args,
         lambda: {str(k): n for k, n in occ.items()},
@@ -171,7 +176,7 @@ def cmd_preimage(args) -> int:
         lambda: [
             f"factored: {fields['factored']}",
             f"decimal: {fields['decimal'] or '(beyond digit ceiling)'}",
-            f"digits: {fields['digits']}",
+            f"digits: {fields['digits'] or '(beyond digit ceiling)'}",
             f"d(result) = {count or '(beyond digit ceiling)'}",
         ],
     )
@@ -213,7 +218,7 @@ def cmd_chain(args) -> int:
 
 def cmd_verify_theorem1(args) -> int:
     divisor._check_limit(args.sieve_bound)
-    sieve_min = analysis.least_by_divisor_count(args.sieve_bound)
+    sieve_min = divisor.least_by_divisor_count(args.sieve_bound)
     # the CSV has all columns but the last
     columns = ("t", "canonical", "oracle", "sieve_min", "canonical_is_minimal", "oracle_matches_sieve")
     rows = []

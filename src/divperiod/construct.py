@@ -12,9 +12,9 @@ Three routes to an n1 with d(n1) = n:
   (e_i + 1) product hits the target, branch-and-bound in log space with
   exact comparison on near-ties.
 
-``min_with_period`` and ``chain`` combine these with the sieve to build
-the minimal-n-per-period table, labelling each entry with how far its
-minimality was actually verified.
+``min_with_period`` and ``chain`` combine these with the least n of
+each period up to a bound to build the minimal-n-per-period table,
+labelling each entry with how far its minimality was actually verified.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .divisor import PeriodTable, Sieve, first_occurrences
+from .divisor import first_occurrences, period
 from .errors import InvalidArgument
 from .factored import _LOG_SCREEN, FactoredInt
 from .hcn import _ENUM_HARD_CEILING, max_divisor_count
@@ -150,25 +148,25 @@ def _record(k: int, value: FactoredInt, verification: str) -> ChainRecord:
 def min_with_period(
     k: int,
     candidate_bound: int = DEFAULT_CANDIDATE_BOUND,
-    table: PeriodTable | Sieve | None = None,
     occurrences: dict[int, int] | None = None,
 ) -> ChainRecord | None:
     """Minimal integer with period k, or None if unreachable at this bound.
 
     k = 1 and k = 2 (values 2 and 4) are base cases: 2 is the fixed point
     of d, so for k = 2 the oracle's least target 2 would give 2 itself,
-    which has period 1.  They are labelled sieve-verified when the sieve
-    reaches them and base-case when it stops below.  For k >= 3, if the
-    sieve up to ``candidate_bound`` already contains a period-k entry the
-    answer is unconditional (sieve-verified).  Otherwise every
-    sieved n' with period k-1 is a divisor-count target for the exact
-    oracle and the minimum is only known relative to the bound.  The
-    sweep is pruned by the highly-composite bound: once the least target
-    gives a value S, no target above d(H), H the largest highly
-    composite number <= S, can give less, so only the blocks up to d(H)
-    are read.  The result and its label are those of the full sweep.
+    which has period 1.  They are labelled sieve-verified when the bound
+    reaches them and base-case when it stops below.  For k >= 3, if some
+    n <= ``candidate_bound`` already has period k the answer is
+    unconditional (sieve-verified).  Otherwise every n' <= the bound
+    with period k-1 is a divisor-count target for the exact oracle and
+    the minimum is only known relative to the bound.  The sweep is
+    pruned by the highly-composite bound: once the least target gives a
+    value S, no target above d(H), H the largest highly composite number
+    <= S, can give less, so only the targets up to d(H) are tried.  The
+    result and its label are those of the full sweep.
 
-    ``occurrences`` is ``first_occurrences(table)``, if the caller has it.
+    ``occurrences`` is ``first_occurrences(candidate_bound)``, if the
+    caller has it.
     """
     if k < 1:
         raise InvalidArgument(f"period must be >= 1, got {k}")
@@ -177,10 +175,8 @@ def min_with_period(
     if k <= 2:
         label = "sieve-verified" if 2 * k <= candidate_bound else "base-case"
         return _record(k, factorize(2 * k), label)
-    if table is None:
-        table = Sieve(candidate_bound)
     if occurrences is None:
-        occurrences = first_occurrences(table)
+        occurrences = first_occurrences(candidate_bound)
     if k in occurrences:
         return _record(k, factorize(occurrences[k]), "sieve-verified")
     if k - 1 not in occurrences:
@@ -194,20 +190,20 @@ def min_with_period(
     cap = None
     if search.best_log <= _ENUM_HARD_CEILING + 1:
         cap = max_divisor_count(_exps_to_factored(search.best_exps).value())
-    hi = table.limit if cap is None else min(cap, table.limit)
+    hi = candidate_bound if cap is None else min(cap, candidate_bound)
     log10_2 = math.log10(2)
-    if least < hi:
-        for start, _, periods in table.blocks(least + 1, hi):
-            for t in (start + np.flatnonzero(periods == k - 1)).tolist():
-                # any prime factor q of t forces a divisor-count factor >= q
-                # on some prime, so the minimum with t divisors is >= 2^(q-1):
-                # targets with a large prime factor cannot beat the running best
-                gpf = factorize(t).factors[-1][0]
-                if (gpf - 1) * log10_2 > search.best_log + _LOG_SCREEN:
-                    continue
-                search.run(t)
+    for t in range(least + 1, hi + 1):
+        if period(t) != k - 1:
+            continue
+        # any prime factor q of t forces a divisor-count factor >= q on
+        # some prime, so the minimum with t divisors is >= 2^(q-1):
+        # targets with a large prime factor cannot beat the running best
+        gpf = factorize(t).factors[-1][0]
+        if (gpf - 1) * log10_2 > search.best_log + _LOG_SCREEN:
+            continue
+        search.run(t)
     return _record(
-        k, _exps_to_factored(search.best_exps), f"oracle-verified-up-to-bound({table.limit})"
+        k, _exps_to_factored(search.best_exps), f"oracle-verified-up-to-bound({candidate_bound})"
     )
 
 
@@ -224,11 +220,10 @@ def chain(
     """
     if max_k < 1:
         raise InvalidArgument(f"max_k must be >= 1, got {max_k}")
-    table = Sieve(candidate_bound)
-    occurrences = first_occurrences(table)
+    occurrences = first_occurrences(candidate_bound)
     records: list[ChainRecord] = []
     for k in range(1, max_k + 1):
-        rec = min_with_period(k, candidate_bound, table, occurrences)
+        rec = min_with_period(k, candidate_bound, occurrences)
         if rec is None:
             break
         if k > 2:

@@ -14,8 +14,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .errors import InvalidArgument, ResourceLimit, UndefinedPeriod
-from .hcn import max_divisor_count
-from .primes import SIEVE_CEILING, factorize
+from .primes import SIEVE_CEILING, build_table, factorize
 
 # Entries per sieve block: 2 MB of int32 divisor counts, which stays in cache.
 BLOCK = 1 << 19
@@ -54,30 +53,11 @@ class PeriodTable:
             yield start, self.divisor_of[start:end], self.period_of[start:end]
 
 
-# Entries the period memo may hold before it starts over.
-_PERIOD_CACHE_MAX = 1 << 16
-_period_cache: dict[int, int] = {2: 1}
-
-
 def period(n: int) -> int:
     """Least k >= 1 with d^k(n) = 2."""
     if n < 2:
         raise UndefinedPeriod(f"period of {n} is undefined: the trajectory never reaches 2")
-    walked = []
-    m = n
-    while m != 2 and m not in _period_cache:
-        walked.append(m)
-        m = divisor_count_int(m)
-    base = 1 if m == 2 else _period_cache[m]
-    if not walked:
-        return base if n != 2 else 1
-    if m == 2:
-        base = 0
-    if len(_period_cache) + len(walked) > _PERIOD_CACHE_MAX:
-        _period_cache.clear()
-    for j, x in enumerate(walked):
-        _period_cache[x] = base + len(walked) - j
-    return _period_cache[n]
+    return len(trajectory(n).steps) - 1
 
 
 def trajectory(n: int) -> Trajectory:
@@ -107,31 +87,24 @@ def _divisor_block(lo: int, hi: int) -> np.ndarray:
     return d
 
 
-def _period_by_divisor_count(k_head: np.ndarray) -> np.ndarray:
-    """``p[v]`` is k(n) for every n with d(n) = v <= the head: 1 + k(v), or 1 at v = 2.
+def _periods_by_count(top: int) -> np.ndarray:
+    """``p[v]`` for 0 <= v <= top: the period k(n) of every n with d(n) = v.
 
-    Only n <= 1 has d(n) < 2, so ``p[0] = p[1] = 0`` pads n = 0 and 1,
-    which have no period.  A block's periods are then ``p[d]``.
+    k(n) = 1 + k(d(n)) for n > 2 and k(2) = 1, so p[v] = 1 + k(v) for
+    v >= 3 and p[2] = 1.  Only n <= 1 has d(n) < 2, so ``p[0] = p[1] = 0``
+    pads n = 0 and 1, which have no period.  k(v) is itself ``p[d(v)]``:
+    iterating from p = 0 settles one more period a round, at the fixed
+    point.
     """
-    p = 1 + k_head
-    p[:2] = 0
-    p[2] = 1
-    return p
-
-
-def _head_periods(head: int) -> np.ndarray:
-    """k(n) for 0 <= n <= head, from d alone.
-
-    Resolving the head against its own periods turns min(k, j) into
-    min(k, j + 1), because k(n) = 1 + k(d(n)); the fixed point is k.
-    """
-    d = _divisor_block(0, head)
-    k = np.zeros(head + 1, dtype=np.int16)
+    d = _divisor_block(0, top)
+    p = np.zeros(top + 1, dtype=np.int16)
     while True:
-        nxt = _period_by_divisor_count(k)[d]
-        if np.array_equal(nxt, k):
-            return k
-        k = nxt
+        nxt = 1 + p[d]
+        nxt[:2] = 0
+        nxt[2] = 1
+        if np.array_equal(nxt, p):
+            return p
+        p = nxt
 
 
 def _check_limit(limit: int) -> None:
@@ -156,7 +129,7 @@ class Sieve:
     def __init__(self, limit: int):
         _check_limit(limit)
         self.limit = limit
-        self._period_by_d = _period_by_divisor_count(_head_periods(2 * math.isqrt(limit) + 2))
+        self._period_by_d = _periods_by_count(2 * math.isqrt(limit) + 2)
 
     def blocks(self, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """``(start, d, k)`` for consecutive blocks of at most BLOCK values covering [lo, hi].
@@ -180,26 +153,62 @@ def period_table(limit: int) -> PeriodTable:
     return PeriodTable(limit, k, d)
 
 
-def first_occurrences(table: PeriodTable | Sieve) -> dict[int, int]:
-    """For each period value present, the least n attaining it.
+def least_by_divisor_count(n: int) -> dict[int, int]:
+    """For every v, the least 1 <= m <= n with d(m) = v, in order of v.
 
-    The least n_j with period j rises with j, and an integer m <= limit
-    with period j + 1 has d(m) >= n_j, because d(m) has period j.  No
-    m <= limit has more divisors than D = d(H), H the largest highly
-    composite number <= limit (Ramanujan 1915), and that maximum is
-    attained.  So once the newest n_j exceeds D no larger period occurs,
-    and the blocks after it are not read.  D is 448 at 10^7 and 960 at
-    2 * 10^8, so up to the sieve ceiling the scan ends with the block
-    that holds n_6 = 5040.
+    A walk over the part m of an integer below its largest prime q, with
+    the primes of m in rising order.  Of the m * q with q prime above P(m),
+    the least is m times the next prime.  In a run of leaves m * p with
+    p^2 <= n // m < p^3 only the first p matters: m * p^2 and m * p * p',
+    p' the prime after p, are the least of their counts in the run.  Every
+    prime of m is at most sqrt(n), so the primes to 2 * isqrt(n) + 2 hold
+    the next prime after each (Bertrand's postulate).
     """
+    least = {1: 1} if n >= 1 else {}
+    primes = build_table(2 * math.isqrt(n) + 2).primes.tolist()
+
+    def offer(v: int, m: int) -> None:
+        if m < least.get(v, m + 1):
+            least[v] = m
+
+    def walk(m: int, dm: int, i: int) -> None:
+        # d(m) = dm, and the primes above those of m are primes[j], j >= i
+        lim = n // m
+        if primes[i] <= lim:
+            offer(2 * dm, m * primes[i])
+        for j in range(i, len(primes)):
+            p = primes[j]
+            if p * p > lim:
+                return
+            if p * p * p > lim:
+                offer(3 * dm, m * p * p)
+                if p * primes[j + 1] <= lim:
+                    offer(4 * dm, m * p * primes[j + 1])
+                return
+            pe, e = p, 1
+            while pe * p <= lim:
+                walk(m * pe, dm * (e + 1), j + 1)
+                offer(dm * (e + 2), m * pe * p)
+                pe, e = pe * p, e + 1
+
+    walk(1, 1, 0)
+    return dict(sorted(least.items()))
+
+
+def first_occurrences(limit: int) -> dict[int, int]:
+    """For each period j of some 2 <= n <= limit, the least such n.
+
+    k(n) depends on n only through d(n), so the least n of period j is the
+    least of ``least_by_divisor_count(limit)[v]`` over the v >= 2 of
+    period j.  No n <= limit is sieved.
+    """
+    _check_limit(limit)
+    least = least_by_divisor_count(limit)
+    p = _periods_by_count(max(least)).tolist()
     out: dict[int, int] = {}
-    top = max_divisor_count(table.limit)
-    for start, _, k in table.blocks(2, table.limit):
-        for kk in np.flatnonzero(np.bincount(k)).tolist():
-            if kk not in out:
-                out[kk] = start + int(np.argmax(k == kk))
-        if out[max(out)] > top:
-            break
+    for v, m in least.items():
+        if v >= 2 and m < out.get(p[v], m + 1):
+            out[p[v]] = m
     return dict(sorted(out.items()))
 
 

@@ -51,7 +51,11 @@ class FactoredInt:
         return v
 
     def log10_value(self) -> float:
-        return sum(e * math.log10(p) for p, e in self.factors)
+        """log10 of the value; ``math.inf`` once an exponent is past the float range."""
+        try:
+            return sum(e * math.log10(p) for p, e in self.factors)
+        except OverflowError:
+            return math.inf
 
     def divisor_count(self) -> int:
         d = 1
@@ -104,13 +108,16 @@ class FactoredInt:
     # --- rendering ---
 
     def to_decimal(self, max_digits: int = DEFAULT_DIGIT_CEILING) -> str:
-        return _decimal(self.value, math.floor(self.log10_value()) + 1, max_digits)
+        log10 = self.log10_value()
+        if log10 == math.inf:
+            raise TooLarge(f"value has ~inf digits, above the ceiling of {max_digits}")
+        return _decimal(self.value, math.floor(log10) + 1, max_digits)
 
     def to_text(self) -> str:
         """Canonical text form, e.g. 2^6*3^4*5^2*7^2*11*13*17*19."""
         if not self.factors:
             return "1"
-        return "*".join(str(p) if e == 1 else f"{p}^{e}" for p, e in self.factors)
+        return "*".join(str(p) if e == 1 else f"{p}^{_int_text(e)}" for p, e in self.factors)
 
     def __str__(self):
         return self.to_text()
@@ -119,6 +126,14 @@ class FactoredInt:
 def int_to_decimal(n: int, max_digits: int = DEFAULT_DIGIT_CEILING) -> str:
     """Decimal text of an integer n >= 1, under the digit ceiling of ``FactoredInt.to_decimal``."""
     return _decimal(lambda: n, math.floor(math.log10(n)) + 1, max_digits)
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` for n >= 1, also past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return int_to_decimal(n, math.inf)
 
 
 def _decimal(value: Callable[[], int], digits: int, max_digits: int) -> str:

@@ -25,11 +25,10 @@ from divperiod.analysis import (
     HISTOGRAM_CEILING,
     WigertReport,
     _prime_counts,
-    least_by_divisor_count,
     write_plot_csv,
     write_wigert_csv,
 )
-from divperiod.divisor import BLOCK
+from divperiod.divisor import BLOCK, least_by_divisor_count
 from divperiod.primes import SIEVE_CEILING
 
 from conftest import (

@@ -8,6 +8,7 @@ import pytest
 from divperiod import FactoredInt
 from divperiod.cli import main
 from divperiod.divisor import BLOCK
+from divperiod.factored import int_to_decimal
 
 from conftest import cli_peak_kb, first_difference, needs_vmhwm, subprocess_env
 
@@ -326,6 +327,31 @@ def test_preimage_divisor_count_digit_ceiling(capsys, command, n):
     code, out, err = run(capsys, command, n.to_text())
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == f"d(result) = {count or '(beyond digit ceiling)'}"
+
+
+def test_naive_past_float_range(capsys):
+    # naive_preimage(2^20000) = 2^(2^20000 - 1), whose log10 is past a float
+    factored = "2^" + int_to_decimal(2**20_000 - 1)
+    count = int_to_decimal(2**20_000)
+    code, out, err = run(capsys, "naive", "2^20000", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "input": "2^20000", "factored": factored, "decimal": None, "digits": None,
+        "divisor_count": count,
+    }
+    assert run(capsys, "naive", "2^20000") == (0, (
+        f"factored: {factored}\n"
+        "decimal: (beyond digit ceiling)\n"
+        "digits: (beyond digit ceiling)\n"
+        f"d(result) = {count}\n"
+    ), "")
+
+
+def test_hcn_check_past_float_range(capsys):
+    huge = f"2^{10**400}"
+    message = "error: value has log10 ~inf, above the enumeration ceiling 15.0\n"
+    for form in ("text", "json"):
+        assert run(capsys, "hcn", "--check", huge, "--format", form) == (1, "", message)
 
 
 def test_out_flag(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from divperiod import (
     FactoredInt,
     InvalidArgument,
-    Sieve,
     canonical_preimage,
     chain,
     exact_min_with_divisors,
@@ -17,7 +16,7 @@ from divperiod import (
     period,
     period_table,
 )
-from divperiod import PeriodTable, construct, divisor
+from divperiod import construct, divisor
 from divperiod.cli import main
 from divperiod.divisor import BLOCK
 from divperiod.hcn import max_divisor_count
@@ -152,10 +151,9 @@ def test_chain():
 def test_min_with_period_has_that_period():
     # at bounds 2 and 3 the oracle would answer k = 2 with MinDiv(2) = 2, of period 1
     for bound in [*range(2, 130), 5_039, 5_040]:
-        table = Sieve(bound)
-        occurrences = first_occurrences(table)
+        occurrences = first_occurrences(bound)
         for k in range(1, 8):
-            rec = min_with_period(k, bound, table, occurrences)
+            rec = min_with_period(k, bound, occurrences)
             if rec is not None:
                 assert period(int(rec.decimal)) == k, (k, bound)
     assert min_with_period(2, 2).decimal == "4"
@@ -237,28 +235,30 @@ def oracle_runs(monkeypatch):
     return runs
 
 
-def test_min_with_period_prunes_above_hcn_bound(oracle_runs):
+def _synthetic_targets(monkeypatch, targets):
+    """Make ``targets`` the only integers of period 4, as the sweep reads periods."""
+    monkeypatch.setattr(construct, "period", lambda t: 4 if t in targets else 0)
+    return {4: min(targets)}
+
+
+def test_min_with_period_prunes_above_hcn_bound(oracle_runs, monkeypatch):
     # synthetic targets: 7 gives S = 2^6 = 64, whose largest highly
     # composite H = 60 has 12 divisors, so 12 (MinDiv 60) is the last
     # target kept and wins; 13 and 18 are never run
     targets = [7, 12, 13, 18]
-    period_of = np.zeros(20, dtype=np.int16)
-    period_of[targets] = 4
-    table = PeriodTable(19, period_of, np.zeros(20, dtype=np.int32))
+    occurrences = _synthetic_targets(monkeypatch, targets)
     assert min(int(exact_min_with_divisors(t).to_decimal()) for t in targets) == 60
     oracle_runs.clear()
-    rec = min_with_period(5, 19, table)
+    rec = min_with_period(5, 19, occurrences)
     assert rec.decimal == "60"
     assert oracle_runs == [7, 12]
 
 
-def test_min_with_period_reads_target_after_least(oracle_runs):
+def test_min_with_period_reads_target_after_least(oracle_runs, monkeypatch):
     # the target right after the least one is read and wins: MinDiv(8) = 24
-    period_of = np.zeros(20, dtype=np.int16)
-    period_of[[7, 8]] = 4
-    table = PeriodTable(19, period_of, np.zeros(20, dtype=np.int32))
+    occurrences = _synthetic_targets(monkeypatch, [7, 8])
     oracle_runs.clear()
-    assert min_with_period(5, 19, table).decimal == "24"
+    assert min_with_period(5, 19, occurrences).decimal == "24"
     assert oracle_runs == [7, 8]
 
 
@@ -280,8 +280,9 @@ def sieve_reads(block_calls, monkeypatch):
     return block_calls
 
 
-# the head Sieve(5 * 10^6) resolves, then the one block first_occurrences reads
-ONE_BLOCK_AT_DEFAULT = [(0, 2 * 2236 + 2), (2, BLOCK + 1)]
+# only the periods of the divisor counts up to d(H) = 384, H = 4324320 the
+# largest highly composite number <= 5 * 10^6; no n <= the bound is sieved
+ONE_BLOCK_AT_DEFAULT = [(0, 384)]
 
 
 def test_chain_to_seven_reads_one_block(sieve_reads):

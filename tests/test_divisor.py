@@ -1,5 +1,4 @@
 import io
-import math
 import random
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from divperiod import (
     InvalidArgument,
+    ResourceLimit,
     Sieve,
     UndefinedPeriod,
     divisor_count_int,
@@ -16,9 +16,9 @@ from divperiod import (
     period_table,
     trajectory,
 )
-from divperiod import divisor
 from divperiod.divisor import BLOCK, ROWS_PER_WRITE, write_rows, write_table_csv
 from divperiod.hcn import max_divisor_count
+from divperiod.primes import SIEVE_CEILING
 
 from conftest import first_difference, k_naive
 
@@ -108,14 +108,26 @@ def test_table_sample_cross_check(table_5m):
 
 
 def test_first_occurrences():
-    assert first_occurrences(period_table(6000)) == {1: 2, 2: 4, 3: 6, 4: 12, 5: 60, 6: 5040}
-    assert first_occurrences(period_table(10)) == {1: 2, 2: 4, 3: 6}
+    assert first_occurrences(6000) == {1: 2, 2: 4, 3: 6, 4: 12, 5: 60, 6: 5040}
+    assert first_occurrences(10) == {1: 2, 2: 4, 3: 6}
+    with pytest.raises(InvalidArgument):
+        first_occurrences(1)
+    with pytest.raises(ResourceLimit):
+        first_occurrences(SIEVE_CEILING + 1)
 
 
 def test_first_occurrences_no_seven(table_5m):
-    occ = first_occurrences(table_5m)
+    occ = first_occurrences(5_000_000)
+    assert occ == _first_by_scan(table_5m, 5_000_000)
     assert 7 not in occ
     assert occ == {1: 2, 2: 4, 3: 6, 4: 12, 5: 60, 6: 5040}
+
+
+def test_first_occurrences_match_naive_on_every_prefix():
+    first: dict[int, int] = {}
+    for n in range(2, 3_001):
+        first.setdefault(k_naive(n), n)
+        assert first_occurrences(n) == dict(sorted(first.items())), n
 
 
 def test_csv_export():
@@ -194,40 +206,43 @@ def test_sieve_rejects_bad_limit_and_range():
             list(sieve.blocks(lo, hi))
 
 
+def _first_by_scan(table, limit):
+    """The least n of each period in [2, limit], read off the whole table."""
+    periods, first_idx = np.unique(table.period_of[2 : limit + 1], return_index=True)
+    return {int(k): int(i) + 2 for k, i in zip(periods, first_idx)}
+
+
 def test_table_and_sieve_first_occurrences_agree(table_5m):
-    assert first_occurrences(Sieve(5_000_000)) == first_occurrences(table_5m)
+    assert first_occurrences(5_000_000) == _first_by_scan(table_5m, 5_000_000)
     # 5040 is the first period-6 value; limits on both sides of it
-    assert first_occurrences(Sieve(5039)) == {1: 2, 2: 4, 3: 6, 4: 12, 5: 60}
-    assert first_occurrences(Sieve(5040))[6] == 5040
+    assert first_occurrences(5039) == {1: 2, 2: 4, 3: 6, 4: 12, 5: 60}
+    assert first_occurrences(5040)[6] == 5040
 
 
 @pytest.mark.parametrize(
     "limit", [2, 3, 11, 12, 59, 60, 5039, 5040, 6000, BLOCK - 1, BLOCK + 1, 5_000_000]
 )
 def test_first_occurrences_match_full_scan(table_5m, limit):
-    periods, first_idx = np.unique(table_5m.period_of[2 : limit + 1], return_index=True)
-    expected = {int(k): int(i) + 2 for k, i in zip(periods, first_idx)}
-    assert first_occurrences(Sieve(limit)) == expected
+    assert first_occurrences(limit) == _first_by_scan(table_5m, limit)
 
 
 @pytest.mark.parametrize("limit", [6_350_399, 6_350_400, 10**7, 2 * 10**8])
 def test_first_occurrences_stops_past_hcn_divisor_bound(block_calls, limit):
     # no m <= limit has more than d(H) divisors, H the largest highly
     # composite number <= limit: 448 at 10^7, 960 at 2 * 10^8; n_6 = 5040
-    # exceeds that, so no period 7 occurs and only the first block is read,
-    # even where 2 * isqrt(limit) = 5040 would not rule period 7 out
+    # exceeds that, so no period 7 occurs, even where 2 * isqrt(limit) =
+    # 5040 would not rule period 7 out.  Only the periods of the divisor
+    # counts up to d(H) are sieved, and no n <= limit
     assert max_divisor_count(limit) < 5040
-    sieve = Sieve(limit)
-    assert first_occurrences(sieve) == {1: 2, 2: 4, 3: 6, 4: 12, 5: 60, 6: 5040}
-    assert block_calls == [(0, 2 * math.isqrt(limit) + 2), (2, BLOCK + 1)]
+    assert first_occurrences(limit) == {1: 2, 2: 4, 3: 6, 4: 12, 5: 60, 6: 5040}
+    assert block_calls == [(0, max_divisor_count(limit))]
 
 
-def test_period_cache_is_bounded():
-    top = 2 + divisor._PERIOD_CACHE_MAX + 5_000
+def test_period_matches_table_past_two_to_the_sixteen():
+    top = 2 + (1 << 16) + 5_000
     table = period_table(top)
     for n in range(2, top):
         assert period(n) == int(table.period_of[n])
-        assert len(divisor._period_cache) <= divisor._PERIOD_CACHE_MAX
 
 
 # Ranges for the streamed writers: both sides of the first block edge and

@@ -80,6 +80,21 @@ def test_to_decimal_keeps_int_digit_limit():
         sys.set_int_max_str_digits(before)
 
 
+def test_exponent_past_float_range():
+    # 2^(2^20000 - 1): the exponent overflows a float and has 6,021 digits
+    huge = FactoredInt(((2, 2**20_000 - 1),))
+    assert huge.log10_value() == math.inf
+    with pytest.raises(TooLarge, match="~inf digits"):
+        huge.to_decimal()
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert huge.to_text() == "2^" + int_to_decimal(2**20_000 - 1)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_divisor_count():
     assert L.divisor_count() == 5040
     assert FactoredInt().divisor_count() == 1
