@@ -24,18 +24,27 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .divisor import first_occurrences, period
-from .errors import InvalidArgument
+from .errors import InvalidArgument, TooLarge
 from .factored import _LOG_SCREEN, FactoredInt
 from .hcn import _ENUM_HARD_CEILING, max_divisor_count
 from .primes import factorize, nth_prime
 
 DEFAULT_CANDIDATE_BOUND = 5_000_000
 
+# The most primes a canonical preimage may take (Omega(n)), and the most
+# digits p^a may have for the exponent p^a - 1 of a naive one: either
+# bounds the factored text of the result, checked before it is built.
+PREIMAGE_CEILING = 100_000
+
 
 def canonical_preimage(n: FactoredInt) -> FactoredInt:
     """Greedy minimal-preimage construction (largest prime power first)."""
     if not n.factors:
         raise InvalidArgument("no integer > 1 has exactly 1 divisor")
+    if sum(a for _, a in n.factors) > PREIMAGE_CEILING:
+        raise TooLarge(
+            f"canonical preimage needs Omega(n) primes, more than {PREIMAGE_CEILING}"
+        )
     out = []
     cursor = 1
     for p, a in reversed(n.factors):
@@ -51,6 +60,11 @@ def naive_preimage(n: FactoredInt) -> FactoredInt:
         raise InvalidArgument("no integer > 1 has exactly 1 divisor")
     out = []
     for i, (p, a) in enumerate(n.factors, start=1):
+        # p^a >= 2^a has more than a / 4 digits: the float product is taken for small a only
+        if a > 4 * PREIMAGE_CEILING or a * math.log10(p) >= PREIMAGE_CEILING:
+            raise TooLarge(
+                f"naive preimage exponent {p}^a - 1 has more than {PREIMAGE_CEILING} digits"
+            )
         out.append((nth_prime(i), p**a - 1))
     return FactoredInt(tuple(out))
 

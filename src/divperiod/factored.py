@@ -163,7 +163,11 @@ def parse(text: str) -> FactoredInt:
         m = _FACTOR_RE.match(part)
         if not m:
             raise InvalidArgument(f"bad factor {part!r} in {text!r}")
-        p = int(m.group(1))
-        e = int(m.group(2)) if m.group(2) else 1
+        try:
+            p = int(m.group(1))
+            e = int(m.group(2)) if m.group(2) else 1
+        except ValueError:  # past the interpreter's int-from-str digit limit
+            limit = sys.get_int_max_str_digits()
+            raise InvalidArgument(f"factor {part[:20]}... has a number of more than {limit} digits")
         factors.append((p, e))
     return FactoredInt(tuple(factors))

@@ -1,11 +1,13 @@
 """Prime generation, primality testing, indexed prime access, factorization.
 
-The substrate every other module consumes.  A least-prime-factor sieve
-handles batch factorization up to 10^7; above it, Pollard-Brent rho
-splits whatever trial division by the primes below 1000 leaves.  A
-separate growable prime list backs ``nth_prime`` so constructions can
-consume an unpredictable number of primes without committing to a sieve
-limit up front.
+The substrate every other module consumes.  ``build_table`` is a
+least-prime-factor sieve for batch work.  Point factorization builds no
+table: one gcd with the product of the primes below 1000 names the small
+primes of n, a cofactor left below 1009^2 is prime, and a larger one is
+proven prime by Miller-Rabin to as many bases as its size needs, or split
+by Pollard-Brent rho.  A separate growable prime list backs
+``nth_prime`` so constructions can consume an unpredictable number of
+primes without committing to a sieve limit up front.
 """
 
 from __future__ import annotations
@@ -24,26 +26,33 @@ from .errors import InvalidArgument, ResourceLimit
 # already past the 10^8 design target.
 SIEVE_CEILING = 200_000_000
 
-# factorize reads n up to this bound off the least-prime-factor table
-_TABLE_PATH_LIMIT = 10_000_000
-
 # products of |x - y| that Brent's rho accumulates per gcd
 _RHO_BATCH = 128
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# (threshold, k): no composite below the threshold passes the strong test
+# to the first k of _MR_BASES (OEIS A014233: Jaeschke 1993, and Jiang and
+# Deng 2014 for k = 9)
+_MR_SIZES = (
+    (2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+    (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+)
 
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
     """Primality of n.
 
-    Below 2^64 the answer is proven: strong probable-prime tests to the
-    first twelve prime bases admit no composite there (the least one to
-    pass all twelve is 318665857834031151167461, OEIS A014233).  From
-    2^64 on, a strong Lucas test with Selfridge's parameters follows the
-    base-2 test, which makes it Baillie-PSW: no composite is known to
-    pass it, but that is not a proof, so True there means a probable
-    prime.
+    Below 2^64 the answer is proven: n takes strong probable-prime tests
+    to only as many of the first twelve prime bases as the thresholds of
+    OEIS A014233 ask for its size, one base below 2047, up to nine below
+    3825123056546413051 and all twelve from there on (the least composite
+    to pass all twelve is 318665857834031151167461).  From 2^64 on, a
+    strong Lucas test with Selfridge's parameters follows the twelve,
+    which makes it Baillie-PSW: no composite is known to pass it, but
+    that is not a proof, so True there means a probable prime.
     """
     if n < 2:
         return False
@@ -55,7 +64,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    k = next((k for threshold, k in _MR_SIZES if n < threshold), len(_MR_BASES))
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -169,8 +179,11 @@ def _unmarked_are_prime(spf: np.ndarray, lo: int) -> np.ndarray:
     return primes
 
 
-# factorize trial-divides larger n by these primes before it runs rho
+# factorize divides n only by those of these primes that divide gcd(n, their product)
 _SMALL_PRIMES = tuple(build_table(999).primes.tolist())
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+# what is left has no prime factor below 1009, so below 1009^2 it is prime
+_PRIME_COFACTOR_CUT = 1009 * 1009
 
 
 # --- growable prime list backing nth_prime / trial division ---
@@ -200,48 +213,6 @@ def nth_prime(i: int) -> int:
         guess = int(i * (math.log(i + 6) + math.log(math.log(i + 6)))) + 16
         _extend_primes(max(guess, 2 * _prime_list_limit))
     return _prime_list[i - 1]
-
-
-# default sieve for point factorization, built lazily and grown on demand
-_table: PrimeTable | None = None
-
-
-def _default_table(minimum: int) -> PrimeTable:
-    """A table reaching ``minimum``: the first 10^6, then doubling up to 10^7.
-
-    Growth below 10^7 sieves only the new range, into one buffer that
-    reaches 10^7.  Only a caller's own ``minimum`` takes it past the 10^7
-    table path, with a table of its own.
-    """
-    global _table
-    if _table is None:
-        _table = build_table(max(minimum, 1_000_000))
-    elif _table.limit < minimum:
-        limit = max(minimum, min(2 * _table.limit, _TABLE_PATH_LIMIT))
-        if limit <= _TABLE_PATH_LIMIT:
-            _table = _extend_table(_table, limit)
-        else:
-            _table = None  # free the old table before the next one is built
-            _table = build_table(limit)
-    return _table
-
-
-def _extend_table(table: PrimeTable, limit: int) -> PrimeTable:
-    """``table`` sieved on to ``limit`` <= 10^7 with the primes it already holds.
-
-    Its least factors live in one 10^7 buffer, allocated at the first
-    growth; pages the sieve has not reached yet stay unallocated.
-    """
-    buffer = table.smallest_factor.base
-    if buffer is None or buffer.size <= limit:
-        buffer = np.zeros(_TABLE_PATH_LIMIT + 1, dtype=np.int32)
-        buffer[: table.limit + 1] = table.smallest_factor
-    spf = buffer[: limit + 1]
-    # table.limit >= 10^6 > sqrt(10^7), so it holds every prime the new range needs
-    roots = table.primes[: np.searchsorted(table.primes, math.isqrt(limit), side="right")]
-    _mark_least_factors(spf, table.limit + 1, roots.tolist())
-    fresh = _unmarked_are_prime(spf, table.limit + 1)
-    return PrimeTable(limit, np.concatenate((table.primes, fresh)), spf)
 
 
 def _rho(n: int) -> int:
@@ -289,51 +260,44 @@ def _large_prime_factors(m: int) -> list[int]:
     return found
 
 
-def factorize(n: int, table: PrimeTable | None = None):
+def factorize(n: int):
     """Factor 1 <= n < 2^64 into a FactoredInt.
 
-    n within the least-prime-factor table (the default one reaches 10^7)
-    is read off the table.  Larger n is trial-divided by the primes below
-    1000; each prime factor of what is left is then proven prime by
-    deterministic Miller-Rabin, and each composite part is split by
-    Pollard-Brent rho until only primes remain.
+    The primes below 1000 that divide n are those of g = gcd(n, their
+    product), so only they are divided out.  A cofactor left below 1009^2
+    is prime.  A larger one is proven prime by Miller-Rabin to the bases
+    its size needs, or split by Pollard-Brent rho until only primes
+    remain.
     """
-    from .factored import FactoredInt
-
     if n < 1:
         raise InvalidArgument(f"cannot factor {n}")
     if n >= 2**64:
         raise InvalidArgument("input exceeds 64 bits; supply it in factored form")
-    if n == 1:
-        return FactoredInt(())
 
     factors: list[tuple[int, int]] = []
-    if table is None and n <= _TABLE_PATH_LIMIT:
-        table = _default_table(n)
-    if table is not None and n <= table.limit:
-        spf = table.smallest_factor
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        factors.sort()
-        return FactoredInt(tuple(factors))
-
     m = n
+    g = math.gcd(m, _SMALL_PRODUCT)
     for p in _SMALL_PRIMES:
-        if p * p > m:
+        if g == 1:
             break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-    if m > 1:
+        if g < p * p:
+            p = g  # g is squarefree with no prime factor below p: it is prime
+        elif g % p:
+            continue
+        g //= p
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        factors.append((p, e))
+    if m >= _PRIME_COFACTOR_CUT:
         large = _large_prime_factors(m)
         factors += ((p, large.count(p)) for p in sorted(set(large)))
-    return FactoredInt(tuple(factors))
+    elif m > 1:
+        factors.append((m, 1))
+    return factored.FactoredInt(tuple(factors))
+
+
+# factored imports is_prime from this module, so this import comes last,
+# once every name above exists; a call-time import would cost each call
+from . import factored  # noqa: E402

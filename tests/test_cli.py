@@ -354,6 +354,34 @@ def test_hcn_check_past_float_range(capsys):
         assert run(capsys, "hcn", "--check", huge, "--format", form) == (1, "", message)
 
 
+def test_hcn_check_exponent_past_int_digit_limit(capsys):
+    # the factored text naive 2^20000 prints: its exponent has 6,021 digits,
+    # past the 4,300 that int() reads by default
+    text = "2^" + int_to_decimal(2**20_000 - 1)
+    message = f"error: factor {text[:20]}... has a number of more than 4300 digits\n"
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for form in ("text", "json"):
+            assert run(capsys, "hcn", "--check", text, "--format", form) == (1, "", message)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("naive", "naive preimage exponent 2^a - 1 has more than 100000 digits"),
+        ("construct", "canonical preimage needs Omega(n) primes, more than 100000"),
+        ("increment", "canonical preimage needs Omega(n) primes, more than 100000"),
+    ],
+)
+def test_preimage_past_ceiling(capsys, command, message):
+    # 2^(10^400): p^a - 1 and a loop over Omega(n) primes used to run without bound
+    for form in ("text", "json"):
+        assert run(capsys, command, f"2^{10**400}", "--format", form) == (1, "", f"error: {message}\n")
+
+
 def test_out_flag(tmp_path, capsys):
     dest = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "plot", "--from", "2", "--to", "10", "--format", "csv", "--out", str(dest))

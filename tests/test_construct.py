@@ -6,6 +6,7 @@ import pytest
 from divperiod import (
     FactoredInt,
     InvalidArgument,
+    TooLarge,
     canonical_preimage,
     chain,
     exact_min_with_divisors,
@@ -42,6 +43,17 @@ def test_naive_preimage_examples():
     assert naive_preimage(factorize(12)) == factorize(72)
     with pytest.raises(InvalidArgument):
         naive_preimage(FactoredInt())
+
+
+def test_preimage_ceiling_is_checked_before_any_work():
+    # 2^332192 has 100,000 digits and 2^332193 one more
+    assert naive_preimage(FactoredInt(((2, 332_192),))).factors == ((2, 2**332_192 - 1),)
+    with pytest.raises(TooLarge, match="100000 digits"):
+        naive_preimage(FactoredInt(((2, 332_193),)))
+    # Omega(n) = 100,000 primes, then one more
+    assert len(canonical_preimage(FactoredInt(((2, 50_000), (3, 50_000)))).factors) == 100_000
+    with pytest.raises(TooLarge, match="Omega"):
+        canonical_preimage(FactoredInt(((2, 50_000), (3, 50_001))))
 
 
 def test_round_trips():

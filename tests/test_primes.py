@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -110,7 +111,6 @@ def test_factorize_round_trip():
 
 
 def test_factorize_matches_trial_division():
-    t = build_table(1_000_000)
     rng = random.Random(7)
     for _ in range(1_000):
         n = rng.randrange(2, 1_000_001)
@@ -127,11 +127,11 @@ def test_factorize_matches_trial_division():
             p += 1
         if m > 1:
             expect.append((m, 1))
-        assert factorize(n, table=t).factors == tuple(expect)
+        assert factorize(n).factors == tuple(expect)
 
 
 def test_factorize_beyond_table():
-    # above the default table: trial division, then Miller-Rabin on the cofactor
+    # the cofactor 10_000_019 is past 1009^2: Miller-Rabin proves it prime
     n = 10_000_019 * 4  # 10_000_019 is prime
     fi = factorize(n)
     assert fi.value() == n
@@ -186,36 +186,35 @@ def test_factorize_hard_64_bit_inputs_match_sympy(n):
     _check_against_sympy(n)
 
 
-def test_default_table_growth_capped():
-    saved = primes._table
-    try:
-        primes._table = None
-        limits = []
-        for n in (2, 10**6 + 1, 2 * 10**6 + 1, 4 * 10**6 + 1, 8 * 10**6 + 1):
-            limits.append(primes._default_table(n).limit)
-        assert limits == [10**6, 2 * 10**6, 4 * 10**6, 8 * 10**6, 10**7]
-        # a caller's own minimum still takes it past 10^7
-        assert primes._default_table(12 * 10**6).limit == 12 * 10**6
-    finally:
-        primes._table = saved
+def _table_factors(spf: np.ndarray, n: int) -> tuple[tuple[int, int], ...]:
+    """The factorization of n read off a least-prime-factor table."""
+    factors = []
+    while n > 1:
+        p, e = int(spf[n]), 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        factors.append((p, e))
+    return tuple(factors)
 
 
-def test_default_table_grows_in_place(monkeypatch):
-    whole = build_table(10**7)
-    builds = []
-    monkeypatch.setattr(
-        primes, "build_table", lambda limit: builds.append(limit) or build_table(limit)
-    )
-    monkeypatch.setattr(primes, "_table", None)
-    first = primes._default_table(2)
-    # the first table is a plain 10^6 build, with no room for growth
-    assert first.smallest_factor.size == 10**6 + 1 and first.smallest_factor.base is None
-    for n in (10**6 + 1, 2 * 10**6 + 1, 4 * 10**6 + 1, 8 * 10**6 + 1):
-        t = primes._default_table(n)
-        assert np.array_equal(t.smallest_factor, whole.smallest_factor[: t.limit + 1])
-        assert np.array_equal(t.primes, whole.primes[whole.primes <= t.limit])
-    assert t.limit == 10**7
-    assert builds == [10**6]
+def test_factorize_matches_least_factor_table():
+    spf = build_table(10**7).smallest_factor
+    rng = random.Random(20261019)
+    sample = [rng.randrange(2, 10**7) for _ in range(20_000)]
+    # composite cofactors with no prime factor below 1000, from 1009^2 up:
+    # a prime-cofactor cut above 1009^2 would call the least of them prime
+    near_cut = [p * q for p in range(1009, 1100) for q in range(p, 1200)
+                if spf[p] == p and spf[q] == q]
+    for n in itertools.chain(range(2, 200_001), sample, near_cut, (2 * 1009 * 1013,)):
+        assert factorize(n).factors == _table_factors(spf, n), n
+
+
+def test_is_prime_matches_sieve_below_2_20():
+    is_sieved_prime = np.zeros(2**20 + 1, dtype=bool)
+    is_sieved_prime[build_table(2**20).primes] = True
+    for n in range(2**20):
+        assert is_prime(n) == is_sieved_prime[n], n
 
 
 def test_is_prime_rejects_a014233():
