@@ -375,6 +375,7 @@ def test_hcn_check_exponent_past_int_digit_limit(capsys):
         ("construct", "canonical preimage needs Omega(n) primes, more than 100000"),
         ("increment", "canonical preimage needs Omega(n) primes, more than 100000"),
     ],
+    ids=["naive", "construct", "increment"],
 )
 def test_preimage_past_ceiling(capsys, command, message):
     # 2^(10^400): p^a - 1 and a loop over Omega(n) primes used to run without bound
