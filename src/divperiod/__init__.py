@@ -13,7 +13,7 @@ from .errors import (
     UndefinedPeriod,
 )
 from .factored import FactoredInt, parse
-from .primes import PrimeTable, build_table, factorize, is_prime, nth_prime
+from .primes import build_table, factorize, is_prime, nth_prime
 from .divisor import (
     PeriodTable,
     Sieve,

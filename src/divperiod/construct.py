@@ -45,28 +45,20 @@ def canonical_preimage(n: FactoredInt) -> FactoredInt:
         raise TooLarge(
             f"canonical preimage needs Omega(n) primes, more than {PREIMAGE_CEILING}"
         )
-    out = []
-    cursor = 1
-    for p, a in reversed(n.factors):
-        for _ in range(a):
-            out.append((nth_prime(cursor), p - 1))
-            cursor += 1
-    return FactoredInt(tuple(out))
+    return FactoredInt.from_exponents(p - 1 for p, a in reversed(n.factors) for _ in range(a))
 
 
 def naive_preimage(n: FactoredInt) -> FactoredInt:
     """One prime per prime-power factor: i-th prime raised to p_i^a_i - 1."""
     if not n.factors:
         raise InvalidArgument("no integer > 1 has exactly 1 divisor")
-    out = []
-    for i, (p, a) in enumerate(n.factors, start=1):
+    for p, a in n.factors:
         # p^a >= 2^a has more than a / 4 digits: the float product is taken for small a only
         if a > 4 * PREIMAGE_CEILING or a * math.log10(p) >= PREIMAGE_CEILING:
             raise TooLarge(
                 f"naive preimage exponent {p}^a - 1 has more than {PREIMAGE_CEILING} digits"
             )
-        out.append((nth_prime(i), p**a - 1))
-    return FactoredInt(tuple(out))
+    return FactoredInt.from_exponents(p**a - 1 for p, a in n.factors)
 
 
 @lru_cache(maxsize=200_000)
@@ -80,10 +72,6 @@ def _divisors_desc(t: int) -> tuple[int, ...]:
 
 def _exps_log10(exps: tuple[int, ...]) -> float:
     return sum(e * math.log10(nth_prime(i + 1)) for i, e in enumerate(exps))
-
-
-def _exps_to_factored(exps: tuple[int, ...]) -> FactoredInt:
-    return FactoredInt(tuple((nth_prime(i + 1), e) for i, e in enumerate(exps)))
 
 
 class _MinSearch:
@@ -101,7 +89,8 @@ class _MinSearch:
             if log10v > self.best_log + _LOG_SCREEN:
                 return
             # near-tie: decide exactly
-            if _exps_to_factored(tuple(exps)).compare(_exps_to_factored(self.best_exps)) >= 0:
+            best = FactoredInt.from_exponents(self.best_exps)
+            if FactoredInt.from_exponents(exps).compare(best) >= 0:
                 return
         self.best_exps = tuple(exps)
         self.best_log = _exps_log10(self.best_exps)
@@ -137,7 +126,7 @@ def exact_min_with_divisors(target: int) -> FactoredInt:
         return FactoredInt(())
     search = _MinSearch()
     search.run(target)
-    return _exps_to_factored(search.best_exps)
+    return FactoredInt.from_exponents(search.best_exps)
 
 
 @dataclass
@@ -203,7 +192,7 @@ def min_with_period(
     # float screen spares computing the exact value of a huge S
     cap = None
     if search.best_log <= _ENUM_HARD_CEILING + 1:
-        cap = max_divisor_count(_exps_to_factored(search.best_exps).value())
+        cap = max_divisor_count(FactoredInt.from_exponents(search.best_exps).value())
     hi = candidate_bound if cap is None else min(cap, candidate_bound)
     log10_2 = math.log10(2)
     for t in range(least + 1, hi + 1):
@@ -216,9 +205,8 @@ def min_with_period(
         if (gpf - 1) * log10_2 > search.best_log + _LOG_SCREEN:
             continue
         search.run(t)
-    return _record(
-        k, _exps_to_factored(search.best_exps), f"oracle-verified-up-to-bound({candidate_bound})"
-    )
+    best = FactoredInt.from_exponents(search.best_exps)
+    return _record(k, best, f"oracle-verified-up-to-bound({candidate_bound})")
 
 
 def chain(

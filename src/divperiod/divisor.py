@@ -165,7 +165,7 @@ def least_by_divisor_count(n: int) -> dict[int, int]:
     the next prime after each (Bertrand's postulate).
     """
     least = {1: 1} if n >= 1 else {}
-    primes = build_table(2 * math.isqrt(n) + 2).primes.tolist()
+    primes = build_table(2 * math.isqrt(n) + 2).tolist()
 
     def offer(v: int, m: int) -> None:
         if m < least.get(v, m + 1):

@@ -11,10 +11,10 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import InvalidArgument, TooLarge
-from .primes import is_prime
+from .primes import is_prime, nth_prime
 
 # log10 gap below which compare() falls back to exact arithmetic
 _LOG_SCREEN = 1e-6
@@ -40,6 +40,22 @@ class FactoredInt:
             if not is_prime(p):
                 raise InvalidArgument(f"{p} is not prime")
             prev = p
+
+    @classmethod
+    def from_exponents(cls, exps: Iterable[int]) -> "FactoredInt":
+        """2^e1 * 3^e2 * 5^e3 * ..., each e_i >= 1.
+
+        The primes are ``nth_prime``'s, which rise and are primes by
+        construction, so they are not proven prime again: only the
+        exponents are checked.
+        """
+        factors = tuple((nth_prime(i), e) for i, e in enumerate(exps, 1))
+        for p, e in factors:
+            if e < 1:
+                raise InvalidArgument(f"exponent of {p} must be >= 1, got {e}")
+        out = object.__new__(cls)
+        object.__setattr__(out, "factors", factors)
+        return out
 
     # --- value views ---
 

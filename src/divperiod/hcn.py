@@ -58,6 +58,8 @@ def _candidates(limit_value: int) -> list[tuple[int, tuple[int, ...]]]:
 
 def enumerate_hcn(log10_limit: float) -> list[HCNRecord]:
     """All highly composite numbers with log10(value) <= log10_limit, ascending."""
+    if not math.isfinite(log10_limit):
+        raise InvalidArgument(f"log10 limit must be finite, got {log10_limit}")
     if log10_limit <= 0:
         raise InvalidArgument(f"log10 limit must be positive, got {log10_limit}")
     if log10_limit > _ENUM_HARD_CEILING:
@@ -77,8 +79,7 @@ def _hcn_up_to(limit: int) -> list[HCNRecord]:
             d *= e + 1
         if d > best_d:
             best_d = d
-            fi = FactoredInt(tuple((nth_prime(i + 1), e) for i, e in enumerate(exps)))
-            records.append(HCNRecord(fi, d, str(value)))
+            records.append(HCNRecord(FactoredInt.from_exponents(exps), d, str(value)))
     return records
 
 
@@ -100,7 +101,9 @@ def max_divisor_count(limit: int) -> int | None:
 def is_highly_composite(
     n: FactoredInt, log10_ceiling: float = DEFAULT_LOG10_CEILING
 ) -> bool:
-    """True iff d(m) < d(n) for every m < n, decided by enumeration."""
+    """True iff d(m) < d(n) for every m < n: ``max_divisor_count(n - 1) < d(n)``."""
+    if not math.isfinite(log10_ceiling):
+        raise InvalidArgument(f"log10 ceiling must be finite, got {log10_ceiling}")
     l10 = n.log10_value()
     if l10 > log10_ceiling:
         raise ResourceLimit(
@@ -108,8 +111,11 @@ def is_highly_composite(
         )
     if not n.factors:
         return True  # n = 1: vacuous
-    target = n.value()
-    return any(rec.value.value() == target for rec in enumerate_hcn(l10 + 1e-9))
+    # the float screen spares computing the exact value of a huge n
+    best = max_divisor_count(n.value() - 1) if l10 <= _ENUM_HARD_CEILING + 1 else None
+    if best is None:
+        raise ResourceLimit(f"enumeration above 10^{_ENUM_HARD_CEILING} is not supported")
+    return best < n.divisor_count()
 
 
 @dataclass(frozen=True)

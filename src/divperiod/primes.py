@@ -1,29 +1,29 @@
 """Prime generation, primality testing, indexed prime access, factorization.
 
-The substrate every other module consumes.  ``build_table`` is a
-least-prime-factor sieve for batch work.  Point factorization builds no
+The substrate every other module consumes.  ``build_table``, a sieve of
+Eratosthenes, is the one source of primes: batch work reads its array,
+and ``nth_prime`` keeps a list of them that it refills from the sieve,
+at least doubling its limit, whenever an index runs past it, so
+constructions can consume an unpredictable number of primes without
+committing to a sieve limit up front.  Point factorization builds no
 table: one gcd with the product of the primes below 1000 names the small
 primes of n, a cofactor left below 1009^2 is prime, and a larger one is
 proven prime by Miller-Rabin to as many bases as its size needs, or split
-by Pollard-Brent rho.  A separate growable prime list backs
-``nth_prime`` so constructions can consume an unpredictable number of
-primes without committing to a sieve limit up front.
+by Pollard-Brent rho.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
 from .errors import InvalidArgument, ResourceLimit
 
-# Practical sieve ceiling: 2*10^8 int32 entries is ~800 MB of arrays,
-# already past the 10^8 design target.
+# Practical sieve ceiling, shared with the period tables of ``divisor``:
+# 2*10^8 int32 entries is ~800 MB of arrays, past the 10^8 design target.
 SIEVE_CEILING = 200_000_000
 
 # products of |x - y| that Brent's rho accumulates per gcd
@@ -138,80 +138,41 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """Immutable sieve: all primes <= limit plus a least-prime-factor array."""
-
-    limit: int
-    primes: np.ndarray
-    smallest_factor: np.ndarray
-
-
-def build_table(limit: int) -> PrimeTable:
-    """Least-prime-factor sieve up to ``limit`` (inclusive)."""
+def build_table(limit: int) -> np.ndarray:
+    """The primes <= ``limit``, rising: a sieve of Eratosthenes."""
     if limit < 2:
         raise InvalidArgument(f"sieve limit must be >= 2, got {limit}")
     if limit > SIEVE_CEILING:
         raise ResourceLimit(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
-    dtype = np.int32 if limit < 2**31 else np.int64
-    spf = np.zeros(limit + 1, dtype=dtype)
-    # i is prime when no smaller prime has marked it by the time it comes up
-    _mark_least_factors(spf, 2, (i for i in range(2, math.isqrt(limit) + 1) if spf[i] == 0))
-    primes = _unmarked_are_prime(spf, 2)
-    return PrimeTable(limit, primes, spf)
-
-
-def _mark_least_factors(spf: np.ndarray, lo: int, primes: Iterable[int]) -> None:
-    """Give each n >= lo in ``spf`` still 0 the first of ``primes`` that divides it.
-
-    ``primes`` must rise and include every prime up to sqrt(len(spf) - 1);
-    each p marks only its multiples from p * p on.
-    """
-    for p in primes:
-        seg = spf[max(p * p, -(-lo // p) * p) :: p]
-        seg[seg == 0] = p
-
-
-def _unmarked_are_prime(spf: np.ndarray, lo: int) -> np.ndarray:
-    """The indices >= lo that no prime marked, each made its own least factor."""
-    primes = np.flatnonzero(spf[lo:] == 0).astype(np.int64) + lo
-    spf[primes] = primes
-    return primes
-
-
-# factorize divides n only by those of these primes that divide gcd(n, their product)
-_SMALL_PRIMES = tuple(build_table(999).primes.tolist())
-_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
-# what is left has no prime factor below 1009, so below 1009^2 it is prime
-_PRIME_COFACTOR_CUT = 1009 * 1009
-
-
-# --- growable prime list backing nth_prime / trial division ---
-
-_prime_list: list[int] = []
-_prime_list_limit = 0
-
-
-def _extend_primes(target: int) -> None:
-    global _prime_list, _prime_list_limit
-    limit = max(target, 2 * _prime_list_limit, 1 << 10)
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    _prime_list = np.flatnonzero(sieve).tolist()
-    _prime_list_limit = limit
+    return np.flatnonzero(sieve)
+
+
+# factorize divides n only by those of these primes that divide gcd(n, their product)
+_SMALL_PRIMES = tuple(build_table(999).tolist())
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+# what is left has no prime factor below 1009, so below 1009^2 it is prime
+_PRIME_COFACTOR_CUT = 1009 * 1009
+
+# nth_prime's list: every prime up to _prime_list_limit, refilled by doubling
+_prime_list: list[int] = []
+_prime_list_limit = 512
 
 
 def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed: nth_prime(1) = 2."""
+    global _prime_list, _prime_list_limit
     if i < 1:
         raise InvalidArgument(f"prime index must be >= 1, got {i}")
     while len(_prime_list) < i:
         # p_i < i (ln i + ln ln i) for i >= 6; doubling handles the rest
         guess = int(i * (math.log(i + 6) + math.log(math.log(i + 6)))) + 16
-        _extend_primes(max(guess, 2 * _prime_list_limit))
+        _prime_list_limit = max(guess, 2 * _prime_list_limit)
+        _prime_list = build_table(_prime_list_limit).tolist()
     return _prime_list[i - 1]
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +43,22 @@ def sieve_histogram(table: PeriodTable | Sieve, lo: int, hi: int) -> Histogram:
             if c:
                 counts[kk] = counts.get(kk, 0) + c
     return Histogram(lo, hi, dict(sorted(counts.items())))
+
+
+def least_factor_table(limit: int) -> np.ndarray:
+    """Reference least-prime-factor array: ``spf[n]`` is the least prime of n, 2 <= n <= limit.
+
+    Each prime p to sqrt(limit) marks the multiples from p * p on that no
+    smaller prime marked; what is left unmarked is prime, its own least factor.
+    """
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    unmarked = np.flatnonzero(spf == 0)
+    spf[unmarked] = unmarked
+    return spf
 
 
 def d_naive(n: int) -> int:

@@ -408,6 +408,23 @@ def test_wigert_rejects_nan_epsilon(capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hcn", "--log10-limit"),
+        ("hcn", "--check", "2^4*3^2*5*7", "--ceiling"),
+        ("conjecture", "--max-k", "4", "--bound", "100", "--ceiling"),
+    ],
+    ids=["hcn-log10-limit", "hcn-check-ceiling", "conjecture-ceiling"],
+)
+def test_non_finite_bounds_rejected(capsys, argv, value):
+    # nan used to end in a traceback (--log10-limit) or turn the ceiling off
+    code, out, err = run(capsys, *argv, value)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"must be finite, got {value}" in err
+
+
 def test_closed_stdout_ends_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-c", "from divperiod.cli import entry; entry()",

@@ -17,7 +17,7 @@ from divperiod import (
     period,
     period_table,
 )
-from divperiod import construct, divisor
+from divperiod import construct, divisor, factored, parse, primes
 from divperiod.cli import main
 from divperiod.divisor import BLOCK
 from divperiod.hcn import max_divisor_count
@@ -71,6 +71,32 @@ def test_canonical_exponents_non_increasing():
         assert [p for p, _ in out.factors] == [
             int(q) for q in _first_primes(len(exps))
         ]
+
+
+def test_canonical_preimage_proves_no_prime(monkeypatch):
+    # the primes of an exponent-built value come from nth_prime: none is proven again
+    n = parse("2^100000")
+    calls = []
+    original = primes.is_prime
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(primes, "is_prime", counted)
+    monkeypatch.setattr(factored, "is_prime", counted)
+    out = canonical_preimage(n)
+    assert calls == []
+    assert len(out.factors) == 100_000
+    assert all(e == 1 for _, e in out.factors)
+    assert out.factors[-1][0] == 1_299_709
+
+
+def test_from_exponents_checks_exponents():
+    assert FactoredInt.from_exponents((4, 2, 1, 1)) == factorize(5040)
+    assert FactoredInt.from_exponents(()) == FactoredInt()
+    with pytest.raises(InvalidArgument):
+        FactoredInt.from_exponents((2, 0, 1))
 
 
 def _first_primes(count):

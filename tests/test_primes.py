@@ -12,6 +12,8 @@ from divperiod import FactoredInt, InvalidArgument, build_table, factorize, is_p
 from divperiod import primes
 from divperiod.errors import ResourceLimit
 
+from conftest import least_factor_table
+
 # psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to
 # every prime base up to 37
 PSI_12 = 318665857834031151167461
@@ -35,38 +37,47 @@ LARGE_SEMIPRIMES = (
 
 
 def test_build_table_small():
-    t = build_table(10)
-    assert t.primes.tolist() == [2, 3, 5, 7]
+    assert build_table(10).tolist() == [2, 3, 5, 7]
 
 
 def test_build_table_boundary():
-    t = build_table(2)
-    assert t.primes.tolist() == [2]
+    assert build_table(2).tolist() == [2]
 
 
 def test_build_table_rejects_bad_limit():
     with pytest.raises(InvalidArgument):
         build_table(1)
+    with pytest.raises(ResourceLimit):
+        build_table(primes.SIEVE_CEILING + 1)
+
+
+@pytest.mark.parametrize(
+    "limit", [2, 3, 4, 999, 1000, 1009, 1009**2 - 1, 1009**2, 1009**2 + 1]
+)
+def test_build_table_matches_sympy(limit):
+    assert build_table(limit).tolist() == list(sympy.primerange(limit + 1))
+
+
+def test_build_table_matches_sympy_below_2e6():
+    expect = list(sympy.primerange(2_000_001))
+    rng = random.Random(20261019)
+    for limit in sorted(rng.randrange(2, 2_000_001) for _ in range(20)):
+        got = build_table(limit).tolist()
+        assert got == expect[: len(got)], limit
+        assert len(got) == len(expect) or expect[len(got)] > limit, limit
 
 
 def test_table_invariants():
-    t = build_table(10_000)
-    primes = t.primes.tolist()
-    assert primes == sorted(primes)
-    assert len(set(primes)) == len(primes)
-    assert all(is_prime(p) for p in primes)
-    spf = t.smallest_factor
-    prime_set = set(primes)
-    for i in range(2, 10_001):
-        assert i % int(spf[i]) == 0
-        assert (int(spf[i]) == i) == (i in prime_set)
+    got = build_table(10_000).tolist()
+    assert all(is_prime(p) for p in got)
+    spf = least_factor_table(10_000)
+    assert got == [n for n in range(2, 10_001) if spf[n] == n]
 
 
 def test_prime_count_cross_check():
     # table membership must agree with Miller-Rabin on a random sample
-    t = build_table(5_000_000)
     in_table = np.zeros(5_000_001, dtype=bool)
-    in_table[t.primes] = True
+    in_table[build_table(5_000_000)] = True
     rng = random.Random(20240817)
     sample = [rng.randrange(2, 5_000_001) for _ in range(2_000)]
     assert sum(bool(in_table[n]) for n in sample) == sum(is_prime(n) for n in sample)
@@ -83,14 +94,32 @@ def test_nth_prime_rejects_zero():
         nth_prime(0)
 
 
-def test_nth_prime_monotone_and_bounded():
+def test_nth_prime_monotone_and_bounded(monkeypatch):
+    # start from an empty list, so that every refill happens in this test
+    monkeypatch.setattr(primes, "_prime_list", [])
+    monkeypatch.setattr(primes, "_prime_list_limit", 512)
+    expect = list(sympy.primerange(sympy.prime(10_000) + 1))
+    refills = []
     prev = 1
     for i in range(1, 10_001):
+        size = len(primes._prime_list)
         p = nth_prime(i)
+        if len(primes._prime_list) != size:
+            refills.append(i)
+        assert p == expect[i - 1]
         assert p > prev
         if i < 64:
             assert p <= 2**i
         prev = p
+    assert len(refills) >= 5
+    # an index far past the list refills it in one step; check either side
+    # of the old and the new end of the list
+    for i in (10**5, 10**6):
+        size = len(primes._prime_list)
+        assert nth_prime(i) == sympy.prime(i)
+        assert len(primes._prime_list) > size
+        for j in (size, size + 1, len(primes._prime_list)):
+            assert nth_prime(j) == sympy.prime(j), j
 
 
 def test_factorize_examples():
@@ -199,7 +228,7 @@ def _table_factors(spf: np.ndarray, n: int) -> tuple[tuple[int, int], ...]:
 
 
 def test_factorize_matches_least_factor_table():
-    spf = build_table(10**7).smallest_factor
+    spf = least_factor_table(10**7)
     rng = random.Random(20261019)
     sample = [rng.randrange(2, 10**7) for _ in range(20_000)]
     # composite cofactors with no prime factor below 1000, from 1009^2 up:
@@ -212,7 +241,7 @@ def test_factorize_matches_least_factor_table():
 
 def test_is_prime_matches_sieve_below_2_20():
     is_sieved_prime = np.zeros(2**20 + 1, dtype=bool)
-    is_sieved_prime[build_table(2**20).primes] = True
+    is_sieved_prime[build_table(2**20)] = True
     for n in range(2**20):
         assert is_prime(n) == is_sieved_prime[n], n
 
