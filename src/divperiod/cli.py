@@ -19,7 +19,13 @@ from typing import Callable, TextIO
 
 from . import analysis, construct, divisor, hcn
 from .errors import DomainError, InvalidArgument, TooLarge
-from .factored import FactoredInt, int_to_decimal, parse as parse_factored
+from .factored import (
+    DEFAULT_DIGIT_CEILING,
+    FactoredInt,
+    _decimal,
+    int_to_decimal,
+    parse as parse_factored,
+)
 from .primes import factorize
 
 
@@ -116,8 +122,12 @@ def _value_fields(f: FactoredInt) -> dict:
     of f is past the float range.
     """
     log10 = f.log10_value()
-    digits = None if log10 == math.inf else math.floor(log10) + 1
-    return {"factored": f.to_text(), "decimal": _below_ceiling(f.to_decimal), "digits": digits}
+    if log10 == math.inf:
+        return {"factored": f.to_text(), "decimal": None, "digits": None}
+    # ``f.to_decimal`` would sum the log10 again
+    digits = math.floor(log10) + 1
+    decimal = _below_ceiling(lambda: _decimal(f.value, digits, DEFAULT_DIGIT_CEILING))
+    return {"factored": f.to_text(), "decimal": decimal, "digits": digits}
 
 
 def cmd_period(args) -> int:

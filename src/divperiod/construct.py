@@ -9,8 +9,8 @@ Three routes to an n1 with d(n1) = n:
   enough to prove the period unbounded, never minimal for long.
 * ``exact_min_with_divisors`` -- an independent oracle: depth-first
   search over non-increasing exponent sequences on 2, 3, 5, ... whose
-  (e_i + 1) product hits the target, branch-and-bound in log space with
-  exact comparison on near-ties.
+  (e_i + 1) product hits the target, branch-and-bound in log space from
+  the canonical preimage as incumbent, with exact comparison on near-ties.
 
 ``min_with_period`` and ``chain`` combine these with the least n of
 each period up to a bound to build the minimal-n-per-period table,
@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .divisor import first_occurrences, period
+from .divisor import _check_limit, first_occurrences, period
 from .errors import InvalidArgument, TooLarge
 from .factored import _LOG_SCREEN, FactoredInt
 from .hcn import _ENUM_HARD_CEILING, max_divisor_count
-from .primes import factorize, nth_prime
+from .primes import _SMALL_PRIMES, factorize
 
 DEFAULT_CANDIDATE_BOUND = 5_000_000
 
@@ -70,23 +70,54 @@ def _divisors_desc(t: int) -> tuple[int, ...]:
     return tuple(sorted((d for d in divs if d >= 2), reverse=True))
 
 
+# log10 of the first 64 primes: a target below 2^64 has at most 63 prime
+# factors, so the search puts no exponent past the 63rd prime and reads
+# the bound of the prime after it
+_LOG10_PRIMES = tuple(math.log10(p) for p in _SMALL_PRIMES[:64])
+
+
+@lru_cache(maxsize=200_000)
+def _excess(t: int) -> int:
+    """sum a * (q - 1) over t = prod q^a: the least sum (f_i - 1) over t = prod f_i.
+
+    f1 * f2 - 1 >= (f1 - 1) + (f2 - 1), so splitting a factor never raises
+    the sum, and the split into primes gives the least.
+    """
+    return sum(a * (q - 1) for q, a in factorize(t).factors)
+
+
 def _exps_log10(exps: tuple[int, ...]) -> float:
-    return sum(e * math.log10(nth_prime(i + 1)) for i, e in enumerate(exps))
+    return sum(e * _LOG10_PRIMES[i] for i, e in enumerate(exps))
 
 
 class _MinSearch:
-    """Branch-and-bound state shared across one or many targets."""
+    """Branch-and-bound state shared across one or many targets.
+
+    The search keeps the least value offered over all targets run.  Each
+    run first offers the target's canonical preimage, Theorem 1's upper
+    bound, whose exponents are already non-increasing.  A node that has
+    placed exponents up to the idx-th prime, with ``rem`` divisor count
+    still to place, needs a factorization rem = prod f_i on later primes,
+    each adding at least (f_i - 1) * log10 of the next prime, and the sum
+    of the f_i - 1 is at least ``_excess(rem)``.  That lower bound never
+    exceeds the value of any completion, so cutting the nodes whose bound
+    is above the incumbent (by more than the log screen) never cuts the
+    minimum.
+    """
 
     def __init__(self):
         self.best_exps: tuple[int, ...] | None = None
         self.best_log: float = math.inf
 
     def run(self, target: int) -> None:
+        seed = canonical_preimage(factorize(target))
+        exps = [e for _, e in seed.factors]
+        self._offer(exps, _exps_log10(exps))
         self._dfs(target, 1, target, 0.0, [])
 
     def _offer(self, exps: list[int], log10v: float) -> None:
         if log10v > self.best_log - _LOG_SCREEN and self.best_exps is not None:
-            if log10v > self.best_log + _LOG_SCREEN:
+            if log10v > self.best_log + _LOG_SCREEN or tuple(exps) == self.best_exps:
                 return
             # near-tie: decide exactly
             best = FactoredInt.from_exponents(self.best_exps)
@@ -99,12 +130,12 @@ class _MinSearch:
         if rem == 1:
             self._offer(exps, log10v)
             return
-        pl = math.log10(nth_prime(idx))
+        pl, next_pl = _LOG10_PRIMES[idx - 1], _LOG10_PRIMES[idx]
         for f in _divisors_desc(rem):
             if f > max_f:
                 continue
             nl = log10v + (f - 1) * pl
-            if nl > self.best_log + _LOG_SCREEN:
+            if nl + _excess(rem // f) * next_pl > self.best_log + _LOG_SCREEN:
                 continue
             exps.append(f - 1)
             self._dfs(rem // f, idx + 1, f, nl, exps)
@@ -117,6 +148,10 @@ def exact_min_with_divisors(target: int) -> FactoredInt:
     Exponent sequences may be assumed non-increasing on consecutive
     primes from 2 (swapping any inversion shrinks the value), so the
     search space is exactly the multiplicative partitions of the target.
+    ``_MinSearch`` walks them branch and bound from the canonical
+    preimage as incumbent, cutting every partial partition whose
+    admissible lower bound (the log10 placed so far plus ``_excess`` of
+    the rest on the next prime) cannot beat it.
     """
     if target < 1:
         raise InvalidArgument(f"divisor-count target must be >= 1, got {target}")
@@ -169,7 +204,8 @@ def min_with_period(
     result and its label are those of the full sweep.
 
     ``occurrences`` is ``first_occurrences(candidate_bound)``, if the
-    caller has it.
+    caller has it.  For k >= 3 the bound may be at most the sieve
+    ceiling, as the sweep takes the period of every target up to it.
     """
     if k < 1:
         raise InvalidArgument(f"period must be >= 1, got {k}")
@@ -178,6 +214,8 @@ def min_with_period(
     if k <= 2:
         label = "sieve-verified" if 2 * k <= candidate_bound else "base-case"
         return _record(k, factorize(2 * k), label)
+    # the sweep below takes period(t) of every target t up to the bound
+    _check_limit(candidate_bound)
     if occurrences is None:
         occurrences = first_occurrences(candidate_bound)
     if k in occurrences:
@@ -222,6 +260,7 @@ def chain(
     """
     if max_k < 1:
         raise InvalidArgument(f"max_k must be >= 1, got {max_k}")
+    _check_limit(candidate_bound)
     occurrences = first_occurrences(candidate_bound)
     records: list[ChainRecord] = []
     for k in range(1, max_k + 1):

@@ -14,6 +14,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .errors import InvalidArgument, ResourceLimit, UndefinedPeriod
+from .hcn import _ENUM_HARD_LIMIT, _candidates
 from .primes import SIEVE_CEILING, build_table, factorize
 
 # Entries per sieve block: 2 MB of int32 divisor counts, which stays in cache.
@@ -107,11 +108,11 @@ def _periods_by_count(top: int) -> np.ndarray:
         p = nxt
 
 
-def _check_limit(limit: int) -> None:
+def _check_limit(limit: int, ceiling: int = SIEVE_CEILING) -> None:
     if limit < 2:
         raise InvalidArgument(f"table limit must be >= 2, got {limit}")
-    if limit > SIEVE_CEILING:
-        raise ResourceLimit(f"table limit {limit} exceeds ceiling {SIEVE_CEILING}")
+    if limit > ceiling:
+        raise ResourceLimit(f"table limit {limit} exceeds ceiling {ceiling}")
 
 
 def _check_range(limit: int, lo: int, hi: int) -> None:
@@ -163,6 +164,10 @@ def least_by_divisor_count(n: int) -> dict[int, int]:
     p' the prime after p, are the least of their counts in the run.  Every
     prime of m is at most sqrt(n), so the primes to 2 * isqrt(n) + 2 hold
     the next prime after each (Bertrand's postulate).
+
+    The walk visits every m, not only those with non-increasing exponents,
+    so ``verify-theorem1`` takes it as a witness independent of the
+    candidates that ``first_occurrences`` and the oracle search.
     """
     least = {1: 1} if n >= 1 else {}
     primes = build_table(2 * math.isqrt(n) + 2).tolist()
@@ -199,11 +204,20 @@ def first_occurrences(limit: int) -> dict[int, int]:
     """For each period j of some 2 <= n <= limit, the least such n.
 
     k(n) depends on n only through d(n), so the least n of period j is the
-    least of ``least_by_divisor_count(limit)[v]`` over the v >= 2 of
-    period j.  No n <= limit is sieved.
+    least over the v >= 2 of period j of the least m <= limit with d(m) = v.
+    That m has non-increasing exponents on 2, 3, 5, ...: sorting the
+    exponents of any m down onto the smallest primes gives an integer
+    <= m with the same d (Ramanujan 1915).  So the least m per v is read
+    off ``hcn._candidates(limit)``, the integers of that shape, and the
+    answer is exact up to their enumeration ceiling of 10^18.  No n <=
+    limit is sieved.
     """
-    _check_limit(limit)
-    least = least_by_divisor_count(limit)
+    _check_limit(limit, _ENUM_HARD_LIMIT)
+    least: dict[int, int] = {}
+    for m, exps in _candidates(limit):
+        v = math.prod(e + 1 for e in exps)
+        if m < least.get(v, m + 1):
+            least[v] = m
     p = _periods_by_count(max(least)).tolist()
     out: dict[int, int] = {}
     for v, m in least.items():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -20,6 +21,11 @@ from .primes import is_prime, nth_prime
 _LOG_SCREEN = 1e-6
 
 DEFAULT_DIGIT_CEILING = 10_000
+
+# divisor_count multiplies up to this many (e + 1) one at a time, which is
+# the fastest way for the at most 15 primes of any n < 2^64; past it, it
+# groups equal exponents
+_FEW_FACTORS = 15
 
 _FACTOR_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
@@ -74,10 +80,15 @@ class FactoredInt:
             return math.inf
 
     def divisor_count(self) -> int:
-        d = 1
-        for _, e in self.factors:
-            d *= e + 1
-        return d
+        if len(self.factors) <= _FEW_FACTORS:
+            d = 1
+            for _, e in self.factors:
+                d *= e + 1
+            return d
+        # one power per distinct exponent: multiplying the (e + 1) in one
+        # at a time is quadratic in the digits of d
+        counts = Counter(e for _, e in self.factors)
+        return math.prod(pow(e + 1, c) for e, c in counts.items())
 
     def distinct_prime_count(self) -> int:
         return len(self.factors)

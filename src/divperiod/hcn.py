@@ -89,13 +89,37 @@ def max_divisor_count(limit: int) -> int | None:
 
     Every m <= limit has d(m) <= d(H): the least m <= limit with the most
     divisors in [1, limit] beats every smaller integer, so it is highly
-    composite, hence at most H.  That maximum is read off the candidates
-    directly: the exponents of any m, sorted down onto 2, 3, 5, ..., give
-    a candidate <= m with the same divisor count.
+    composite, hence at most H.  That maximum is taken over the
+    candidates, since the exponents of any m, sorted down onto 2, 3, 5,
+    ..., give a candidate <= m with the same divisor count.  They are
+    searched branch and bound from the incumbent d = 1: a node of value
+    cur and divisor count d whose next prime is p can still multiply in
+    primes >= p of total exponent E <= log_p(limit // cur), which
+    multiplies d by prod(e + 1) <= 2^E.  A node with d * 2^E <= the best
+    count so far cannot beat it and is cut, so the bound is admissible.
     """
     if limit > _ENUM_HARD_LIMIT:
         return None
-    return max(math.prod(e + 1 for e in exps) for _, exps in _candidates(limit))
+    best = 1
+
+    def dfs(idx: int, max_e: int, cur: int, d: int) -> None:
+        nonlocal best
+        p = nth_prime(idx)
+        room, total, pe = limit // cur, 0, p
+        while pe <= room:
+            total, pe = total + 1, pe * p
+        if d << total <= best:
+            return
+        v = cur
+        for e in range(1, max_e + 1):
+            v *= p
+            if v > limit:
+                return
+            best = max(best, d * (e + 1))
+            dfs(idx + 1, e, v, d * (e + 1))
+
+    dfs(1, limit.bit_length(), 1, 1)
+    return best
 
 
 def is_highly_composite(

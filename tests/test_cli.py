@@ -65,6 +65,25 @@ def test_first(capsys):
     assert json.loads(out) == {"1": 2, "2": 4, "3": 6, "4": 12, "5": 60, "6": 5040}
 
 
+def test_first_past_sieve_ceiling(capsys):
+    code, out, _ = run(capsys, "first", "--limit", "1000000000000")
+    assert code == 0
+    assert out.splitlines()[-1] == "k=7: first at n=293318625600"
+    assert run(capsys, "first", "--limit", "1000000000000000001") == (
+        1, "", "error: table limit 1000000000000000001 exceeds ceiling 1000000000000000000\n"
+    )
+
+
+@pytest.mark.parametrize("max_k", ["2", "7"])
+@pytest.mark.parametrize("command", ["chain", "conjecture"])
+def test_chain_bound_keeps_sieve_ceiling(capsys, command, max_k):
+    # the chain sweep takes the period of every target up to the bound;
+    # at max-k 2 no sweep runs, and the bound is refused all the same
+    assert run(capsys, command, "--max-k", max_k, "--bound", "200000001") == (
+        1, "", "error: table limit 200000001 exceeds ceiling 200000000\n"
+    )
+
+
 def test_hist_csv(capsys):
     code, out, _ = run(capsys, "hist", "--from", "2", "--to", "12", "--format", "csv")
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 from divperiod import (
     FactoredInt,
     InvalidArgument,
+    ResourceLimit,
     TooLarge,
     canonical_preimage,
     chain,
@@ -135,6 +136,47 @@ def test_oracle_against_sieve():
             assert exact_min_with_divisors(t).to_decimal() == str(sieve_min[t])
 
 
+def test_oracle_against_walk():
+    # every divisor count of an n <= 10^10, against the least such n
+    least = divisor.least_by_divisor_count(10**10)
+    assert len(least) == 359 and least[2304] == 6983776800
+    for t, m in least.items():
+        assert exact_min_with_divisors(t).value() == m, t
+
+
+@pytest.mark.parametrize(
+    "target, text, log10",
+    [
+        (6983776800, "2^18*3^16*5^12*7^10*11^6*13^4*17^4*19^2*23^2*29^2*31*37*41*43*47", 61.7007),
+        # 293318625600 = n_7, so this minimum has period 8
+        (293318625600,
+         "2^18*3^16*5^12*7^10*11^6*13^6*17^4*19^4*23^2*29^2*31^2*37^2*41*43*47*53*59*61", 74.8261),
+    ],
+)
+def test_oracle_pins(target, text, log10):
+    value = exact_min_with_divisors(target)
+    assert value.to_text() == text
+    assert value.divisor_count() == target
+    assert round(value.log10_value(), 4) == log10
+
+
+def test_oracle_dfs_nodes(monkeypatch):
+    # a count, not a time: the seeded incumbent and the excess bound cut
+    # the search for every t <= 2050 from 59,559 nodes without them
+    nodes = 0
+    original = construct._MinSearch._dfs
+
+    def counted(self, *args):
+        nonlocal nodes
+        nodes += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(construct._MinSearch, "_dfs", counted)
+    for t in range(2, 2_051):
+        exact_min_with_divisors(t)
+    assert nodes <= 12_000
+
+
 def test_oracle_dominates_constructions():
     for t in range(2, 2_001):
         fi = factorize(t)
@@ -177,6 +219,15 @@ def test_min_with_period_oracle_case():
 
 def test_min_with_period_not_found():
     assert min_with_period(8, 6_000) is None
+
+
+def test_min_with_period_bound_keeps_sieve_ceiling():
+    # first_occurrences reaches 10^18, but the sweep takes the period of
+    # every target up to the bound; the base cases need no sweep
+    occurrences = first_occurrences(primes.SIEVE_CEILING + 1)
+    with pytest.raises(ResourceLimit, match="exceeds ceiling 200000000"):
+        min_with_period(3, primes.SIEVE_CEILING + 1, occurrences)
+    assert min_with_period(2, primes.SIEVE_CEILING + 1).decimal == "4"
 
 
 def test_chain():

@@ -16,7 +16,13 @@ from divperiod import (
     period_table,
     trajectory,
 )
-from divperiod.divisor import BLOCK, ROWS_PER_WRITE, write_rows, write_table_csv
+from divperiod.divisor import (
+    BLOCK,
+    ROWS_PER_WRITE,
+    least_by_divisor_count,
+    write_rows,
+    write_table_csv,
+)
 from divperiod.hcn import max_divisor_count
 from divperiod.primes import SIEVE_CEILING
 
@@ -112,8 +118,11 @@ def test_first_occurrences():
     assert first_occurrences(10) == {1: 2, 2: 4, 3: 6}
     with pytest.raises(InvalidArgument):
         first_occurrences(1)
-    with pytest.raises(ResourceLimit):
-        first_occurrences(SIEVE_CEILING + 1)
+    # the candidates reach past the sieve ceiling, up to their own of 10^18
+    assert first_occurrences(SIEVE_CEILING + 1)[6] == 5040
+    assert first_occurrences(10**18)[7] == 293318625600
+    with pytest.raises(ResourceLimit, match="exceeds ceiling 1000000000000000000"):
+        first_occurrences(10**18 + 1)
 
 
 def test_first_occurrences_no_seven(table_5m):
@@ -128,6 +137,25 @@ def test_first_occurrences_match_naive_on_every_prefix():
     for n in range(2, 3_001):
         first.setdefault(k_naive(n), n)
         assert first_occurrences(n) == dict(sorted(first.items())), n
+
+
+def _first_by_least(least: dict[int, int], limit: int) -> dict[int, int]:
+    """The least n of each period in [2, limit], from a least-n-per-divisor-count table."""
+    first: dict[int, int] = {}
+    for m in sorted(m for m in least.values() if 2 <= m <= limit):
+        first.setdefault(period(m), m)
+    return dict(sorted(first.items()))
+
+
+def test_first_occurrences_match_walk_on_every_prefix():
+    least = least_by_divisor_count(3_000)
+    for n in range(2, 3_001):
+        assert first_occurrences(n) == _first_by_least(least, n), n
+
+
+@pytest.mark.parametrize("limit", [2**19 - 1, 2**19 + 1, 10**8, 10**10])
+def test_first_occurrences_match_walk(limit):
+    assert first_occurrences(limit) == _first_by_least(least_by_divisor_count(limit), limit)
 
 
 def test_csv_export():

@@ -99,6 +99,11 @@ def test_divisor_count():
     assert L.divisor_count() == 5040
     assert FactoredInt().divisor_count() == 1
     assert N5040.divisor_count() == 60
+    # repeated exponents are grouped into powers: against the plain product
+    rng = random.Random(11)
+    for _ in range(200):
+        exps = [rng.choice((1, 1, 2, 3, 7, 40)) for _ in range(rng.randrange(1, 60))]
+        assert FactoredInt.from_exponents(exps).divisor_count() == math.prod(e + 1 for e in exps)
 
 
 def test_distinct_prime_count():

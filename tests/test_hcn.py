@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from divperiod import (
 )
 from divperiod.cli import main
 from divperiod.errors import ResourceLimit
+from divperiod.hcn import _candidates, max_divisor_count
 
 
 def test_enumerate_small():
@@ -66,6 +68,21 @@ def test_is_highly_composite():
 def test_is_highly_composite_ceiling():
     with pytest.raises(ResourceLimit):
         is_highly_composite(FactoredInt(((2, 60),)))
+
+
+def _max_over_candidates(limit):
+    """The plain maximum of prod(e + 1) over every candidate <= limit."""
+    return max(math.prod(e + 1 for e in exps) for _, exps in _candidates(limit))
+
+
+def test_max_divisor_count_matches_candidates():
+    for n in range(1, 3_001):
+        assert max_divisor_count(n) == _max_over_candidates(n), n
+    rng = random.Random(18)
+    for _ in range(20):
+        n = rng.randrange(2, 10 ** rng.randint(4, 18) + 1)
+        assert max_divisor_count(n) == _max_over_candidates(n), n
+    assert max_divisor_count(10**18) == _max_over_candidates(10**18) == 103_680
 
 
 def test_chain_values_are_highly_composite():
