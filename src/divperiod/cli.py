@@ -234,7 +234,7 @@ def cmd_verify_theorem1(args) -> int:
     rows = []
     for t in range(2, args.limit + 1):
         canon = construct.canonical_preimage(factorize(t))
-        oracle = construct.exact_min_with_divisors(t)
+        oracle = construct.exact_min_with_divisors(t, _seed=canon)
         smin = sieve_min.get(t)
         matches = None if smin is None else oracle.value() == smin
         rows.append((t, canon.to_text(), oracle.to_text(), smin, canon.compare(oracle) == 0, matches))
@@ -256,15 +256,13 @@ def cmd_verify_theorem1(args) -> int:
 
 def cmd_hcn(args) -> int:
     if args.check is not None:
-        f = parse_factored(args.check)
-        verdict = hcn.is_highly_composite(f, args.ceiling)
+        f = _parse_value(args.check)
+        verdict = hcn.is_highly_composite(f)
         return _emit(
             args,
             lambda: {"value": f.to_text(), "is_hcn": verdict},
             lambda: [f"{f.to_text()}: {'highly composite' if verdict else 'not highly composite'}"],
         )
-    if args.log10_limit is None:
-        raise InvalidArgument("hcn needs either --log10-limit or --check")
     records = hcn.enumerate_hcn(args.log10_limit)
     columns = ("decimal", "d", "factored")
     rows = [(r.decimal, r.divisor_count, r.value.to_text()) for r in records]
@@ -343,7 +341,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    report = hcn.conjecture_report(construct.chain(args.max_k, args.bound), args.ceiling)
+    report = hcn.conjecture_report(construct.chain(args.max_k, args.bound))
     # the CSV has all columns but the last
     columns = ("k", "n_decimal", "ln_n", "ratio", "is_hcn", "degenerate")
     rows = [(r.period, r.decimal, r.ln_n, r.ratio, r.is_hcn, r.degenerate) for r in report]
@@ -376,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit": {"type": int, "required": True},
         "--max-k": {"type": int, "required": True},
         "--bound": {"type": int, "default": construct.DEFAULT_CANDIDATE_BOUND},
-        "--ceiling": {"type": float, "default": hcn.DEFAULT_LOG10_CEILING},
         "n": {"help": "decimal or factored form"},
     }
     sub = parser.add_subparsers(dest="command", required=True)
@@ -404,16 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
                 "canonical vs oracle vs sieve for all targets <= limit", "--limit")
     p.add_argument("--sieve-bound", type=int, default=10_000_000)
     p = command("hcn", cmd_hcn, "highly composite numbers")
-    p.add_argument("--log10-limit", type=float, default=None)
-    p.add_argument("--check", default=None, help="factored form to test for membership")
-    p.add_argument("--ceiling", **shared["--ceiling"])
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--log10-limit", type=float)
+    which.add_argument("--check", help="decimal or factored form to test for membership")
     p = command("wigert", cmd_wigert, "maximal-order ratio scan", "--from", "--to")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--n0", type=int, default=10_000)
     command("increment", cmd_increment, "log10 growth vs 0.545*nu(n) bound", "n")
     command("plot", cmd_plot, "n,k rows for external plotting", "--from", "--to")
     command("conjecture", cmd_conjecture, "growth-ratio and HCN report along the chain",
-            "--max-k", "--bound", "--ceiling")
+            "--max-k", "--bound")
     return parser
 
 

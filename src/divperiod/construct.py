@@ -94,9 +94,9 @@ class _MinSearch:
     """Branch-and-bound state shared across one or many targets.
 
     The search keeps the least value offered over all targets run.  Each
-    run first offers the target's canonical preimage, Theorem 1's upper
-    bound, whose exponents are already non-increasing.  A node that has
-    placed exponents up to the idx-th prime, with ``rem`` divisor count
+    run first offers its seed, the target's canonical preimage (Theorem
+    1's upper bound), whose exponents are already non-increasing.  A node
+    that has placed exponents up to the idx-th prime, with ``rem`` count
     still to place, needs a factorization rem = prod f_i on later primes,
     each adding at least (f_i - 1) * log10 of the next prime, and the sum
     of the f_i - 1 is at least ``_excess(rem)``.  That lower bound never
@@ -109,8 +109,7 @@ class _MinSearch:
         self.best_exps: tuple[int, ...] | None = None
         self.best_log: float = math.inf
 
-    def run(self, target: int) -> None:
-        seed = canonical_preimage(factorize(target))
+    def run(self, target: int, seed: FactoredInt) -> None:
         exps = [e for _, e in seed.factors]
         self._offer(exps, _exps_log10(exps))
         self._dfs(target, 1, target, 0.0, [])
@@ -142,7 +141,7 @@ class _MinSearch:
             exps.pop()
 
 
-def exact_min_with_divisors(target: int) -> FactoredInt:
+def exact_min_with_divisors(target: int, _seed: FactoredInt | None = None) -> FactoredInt:
     """The smallest integer with exactly ``target`` divisors.
 
     Exponent sequences may be assumed non-increasing on consecutive
@@ -151,7 +150,8 @@ def exact_min_with_divisors(target: int) -> FactoredInt:
     ``_MinSearch`` walks them branch and bound from the canonical
     preimage as incumbent, cutting every partial partition whose
     admissible lower bound (the log10 placed so far plus ``_excess`` of
-    the rest on the next prime) cannot beat it.
+    the rest on the next prime) cannot beat it.  ``_seed`` is that
+    canonical preimage, if the caller has built it.
     """
     if target < 1:
         raise InvalidArgument(f"divisor-count target must be >= 1, got {target}")
@@ -159,8 +159,10 @@ def exact_min_with_divisors(target: int) -> FactoredInt:
         raise InvalidArgument("target exceeds 64 bits")
     if target == 1:
         return FactoredInt(())
+    if _seed is None:
+        _seed = canonical_preimage(factorize(target))
     search = _MinSearch()
-    search.run(target)
+    search.run(target, _seed)
     return FactoredInt.from_exponents(search.best_exps)
 
 
@@ -225,7 +227,7 @@ def min_with_period(
 
     least = occurrences[k - 1]
     search = _MinSearch()
-    search.run(least)
+    search.run(least, canonical_preimage(factorize(least)))
     # a target t with MinDiv(t) <= S has t = d(MinDiv(t)) <= d(H); the
     # float screen spares computing the exact value of a huge S
     cap = None
@@ -239,10 +241,10 @@ def min_with_period(
         # any prime factor q of t forces a divisor-count factor >= q on
         # some prime, so the minimum with t divisors is >= 2^(q-1):
         # targets with a large prime factor cannot beat the running best
-        gpf = factorize(t).factors[-1][0]
-        if (gpf - 1) * log10_2 > search.best_log + _LOG_SCREEN:
+        ft = factorize(t)
+        if (ft.factors[-1][0] - 1) * log10_2 > search.best_log + _LOG_SCREEN:
             continue
-        search.run(t)
+        search.run(t, canonical_preimage(ft))
     best = FactoredInt.from_exponents(search.best_exps)
     return _record(k, best, f"oracle-verified-up-to-bound({candidate_bound})")
 

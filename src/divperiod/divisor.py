@@ -14,7 +14,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .errors import InvalidArgument, ResourceLimit, UndefinedPeriod
-from .hcn import _ENUM_HARD_LIMIT, _candidates
+from .hcn import _ENUM_HARD_LIMIT, _least_by_count
 from .primes import SIEVE_CEILING, build_table, factorize
 
 # Entries per sieve block: 2 MB of int32 divisor counts, which stays in cache.
@@ -166,8 +166,9 @@ def least_by_divisor_count(n: int) -> dict[int, int]:
     the next prime after each (Bertrand's postulate).
 
     The walk visits every m, not only those with non-increasing exponents,
-    so ``verify-theorem1`` takes it as a witness independent of the
-    candidates that ``first_occurrences`` and the oracle search.
+    so ``verify-theorem1`` takes it as a witness independent of
+    ``hcn._least_by_count``, which ``first_occurrences`` reads, and of the
+    oracle's search.
     """
     least = {1: 1} if n >= 1 else {}
     primes = build_table(2 * math.isqrt(n) + 2).tolist()
@@ -205,22 +206,16 @@ def first_occurrences(limit: int) -> dict[int, int]:
 
     k(n) depends on n only through d(n), so the least n of period j is the
     least over the v >= 2 of period j of the least m <= limit with d(m) = v.
-    That m has non-increasing exponents on 2, 3, 5, ...: sorting the
-    exponents of any m down onto the smallest primes gives an integer
-    <= m with the same d (Ramanujan 1915).  So the least m per v is read
-    off ``hcn._candidates(limit)``, the integers of that shape, and the
-    answer is exact up to their enumeration ceiling of 10^18.  No n <=
-    limit is sieved.
+    Those come from ``hcn._least_by_count(limit)``, which walks only the
+    integers with non-increasing exponents on 2, 3, 5, ... (Ramanujan
+    1915), so the answer is exact up to its enumeration ceiling of 10^18.
+    No n <= limit is sieved.
     """
     _check_limit(limit, _ENUM_HARD_LIMIT)
-    least: dict[int, int] = {}
-    for m, exps in _candidates(limit):
-        v = math.prod(e + 1 for e in exps)
-        if m < least.get(v, m + 1):
-            least[v] = m
+    least = _least_by_count(limit)
     p = _periods_by_count(max(least)).tolist()
     out: dict[int, int] = {}
-    for v, m in least.items():
+    for v, (m, _) in least.items():
         if v >= 2 and m < out.get(p[v], m + 1):
             out[p[v]] = m
     return dict(sorted(out.items()))

@@ -1,9 +1,11 @@
 """Highly composite numbers and the minimal-chain conjecture report.
 
-Every HCN factors over consecutive primes from 2 with non-increasing
-exponents, so enumeration searches only those candidates and keeps the
-strictly-increasing divisor-count records.  That reaches magnitudes
-(~10^12 and beyond) where a plain sieve is hopeless.
+The least m with a given divisor count, and so every highly composite
+number (HCN), factors over consecutive primes from 2 with non-increasing
+exponents (Ramanujan 1915).  ``_least_by_count`` walks those integers
+once and keeps the least m of each count; an HCN is the least m of its
+count that lies below the least m of every larger count.  That reaches
+magnitudes (~10^12 and beyond) where a plain sieve is hopeless.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from typing import TYPE_CHECKING
 
 from .errors import InvalidArgument, ResourceLimit
 from .factored import FactoredInt
-from .primes import nth_prime
+from .primes import _SMALL_PRIMES
 
 if TYPE_CHECKING:
     from .construct import ChainRecord
 
-# is_highly_composite refuses above this by default; enumeration itself
-# has a slightly higher hard stop.
-DEFAULT_LOG10_CEILING = 15.0
+# The one enumeration ceiling: below it non-increasing exponents take at
+# most 15 primes (2*3*...*53 > 10^18), so the walks read 16 of _SMALL_PRIMES
 _ENUM_HARD_CEILING = 18.0
 _ENUM_HARD_LIMIT = int(10**_ENUM_HARD_CEILING)
 
@@ -35,25 +36,30 @@ class HCNRecord:
     decimal: str
 
 
-def _candidates(limit_value: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All (value, exponents) with non-increasing exponents on 2,3,5,... ."""
-    out: list[tuple[int, tuple[int, ...]]] = [(1, ())]
-    max_e0 = limit_value.bit_length()  # 2^e <= limit needs e <= log2
+def _least_by_count(limit: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """``{d: (m, exponents)}``: the least m <= limit with d(m) = d, for
+    every d reached, and its exponents on 2, 3, 5, ... .
 
-    def dfs(idx: int, max_e: int, cur: int, exps: list[int]) -> None:
-        p = nth_prime(idx)
+    Sorting the exponents of any m down onto the smallest primes gives an
+    integer <= m with the same d, so only non-increasing exponents are
+    walked, each vector once, with d carried down.  limit <= 10^18.
+    """
+    least: dict[int, tuple[int, tuple[int, ...]]] = {1: (1, ())}
+
+    def walk(i: int, max_e: int, cur: int, d: int, exps: tuple[int, ...]) -> None:
+        p = _SMALL_PRIMES[i]
         v = cur
         for e in range(1, max_e + 1):
             v *= p
-            if v > limit_value:
+            if v > limit:
                 return
-            exps.append(e)
-            out.append((v, tuple(exps)))
-            dfs(idx + 1, e, v, exps)
-            exps.pop()
+            de, ve = d * (e + 1), exps + (e,)
+            if de not in least or v < least[de][0]:
+                least[de] = (v, ve)
+            walk(i + 1, e, v, de, ve)
 
-    dfs(1, max_e0, 1, [])
-    return out
+    walk(0, limit.bit_length(), 1, 1, ())
+    return least
 
 
 def enumerate_hcn(log10_limit: float) -> list[HCNRecord]:
@@ -63,24 +69,27 @@ def enumerate_hcn(log10_limit: float) -> list[HCNRecord]:
     if log10_limit <= 0:
         raise InvalidArgument(f"log10 limit must be positive, got {log10_limit}")
     if log10_limit > _ENUM_HARD_CEILING:
-        raise ResourceLimit(
-            f"enumeration above 10^{_ENUM_HARD_CEILING} is not supported"
-        )
+        raise ResourceLimit(f"enumeration above 10^{_ENUM_HARD_CEILING} is not supported")
     return _hcn_up_to(int(10**log10_limit))
 
 
 def _hcn_up_to(limit: int) -> list[HCNRecord]:
-    """All highly composite numbers <= limit (an exact integer), ascending."""
+    """All highly composite numbers <= limit (an exact integer), ascending.
+
+    H with d(H) = d is highly composite iff H is the least m of count d
+    and lies below the least m of every larger count: then no m < H has
+    d or more divisors.  So the HCNs are the suffix minima of
+    ``_least_by_count(limit)``, taken from the largest count down.
+    """
+    least = _least_by_count(limit)
     records = []
-    best_d = 0
-    for value, exps in sorted(_candidates(limit)):
-        d = 1
-        for e in exps:
-            d *= e + 1
-        if d > best_d:
-            best_d = d
-            records.append(HCNRecord(FactoredInt.from_exponents(exps), d, str(value)))
-    return records
+    below = limit + 1
+    for d in sorted(least, reverse=True):
+        m, exps = least[d]
+        if m < below:
+            below = m
+            records.append(HCNRecord(FactoredInt.from_exponents(exps), d, str(m)))
+    return records[::-1]
 
 
 def max_divisor_count(limit: int) -> int | None:
@@ -89,22 +98,21 @@ def max_divisor_count(limit: int) -> int | None:
 
     Every m <= limit has d(m) <= d(H): the least m <= limit with the most
     divisors in [1, limit] beats every smaller integer, so it is highly
-    composite, hence at most H.  That maximum is taken over the
-    candidates, since the exponents of any m, sorted down onto 2, 3, 5,
-    ..., give a candidate <= m with the same divisor count.  They are
-    searched branch and bound from the incumbent d = 1: a node of value
-    cur and divisor count d whose next prime is p can still multiply in
-    primes >= p of total exponent E <= log_p(limit // cur), which
-    multiplies d by prod(e + 1) <= 2^E.  A node with d * 2^E <= the best
-    count so far cannot beat it and is cut, so the bound is admissible.
+    composite, hence at most H.  That maximum is taken over the integers
+    ``_least_by_count`` walks, searched branch and bound from the
+    incumbent d = 1: a node of value cur and divisor count d whose next
+    prime is p can still multiply in primes >= p of total exponent E <=
+    log_p(limit // cur), which multiplies d by prod(e + 1) <= 2^E.  A node
+    with d * 2^E <= the best count so far cannot beat it and is cut, so
+    the bound is admissible.
     """
     if limit > _ENUM_HARD_LIMIT:
         return None
     best = 1
 
-    def dfs(idx: int, max_e: int, cur: int, d: int) -> None:
+    def dfs(i: int, max_e: int, cur: int, d: int) -> None:
         nonlocal best
-        p = nth_prime(idx)
+        p = _SMALL_PRIMES[i]
         room, total, pe = limit // cur, 0, p
         while pe <= room:
             total, pe = total + 1, pe * p
@@ -116,27 +124,21 @@ def max_divisor_count(limit: int) -> int | None:
             if v > limit:
                 return
             best = max(best, d * (e + 1))
-            dfs(idx + 1, e, v, d * (e + 1))
+            dfs(i + 1, e, v, d * (e + 1))
 
-    dfs(1, limit.bit_length(), 1, 1)
+    dfs(0, limit.bit_length(), 1, 1)
     return best
 
 
-def is_highly_composite(
-    n: FactoredInt, log10_ceiling: float = DEFAULT_LOG10_CEILING
-) -> bool:
-    """True iff d(m) < d(n) for every m < n: ``max_divisor_count(n - 1) < d(n)``."""
-    if not math.isfinite(log10_ceiling):
-        raise InvalidArgument(f"log10 ceiling must be finite, got {log10_ceiling}")
-    l10 = n.log10_value()
-    if l10 > log10_ceiling:
-        raise ResourceLimit(
-            f"value has log10 ~{l10:.1f}, above the enumeration ceiling {log10_ceiling}"
-        )
+def is_highly_composite(n: FactoredInt) -> bool:
+    """True iff d(m) < d(n) for every m < n: ``max_divisor_count(n - 1) < d(n)``.
+
+    ResourceLimit when n - 1 is past the enumeration ceiling of 10^18.
+    """
     if not n.factors:
         return True  # n = 1: vacuous
     # the float screen spares computing the exact value of a huge n
-    best = max_divisor_count(n.value() - 1) if l10 <= _ENUM_HARD_CEILING + 1 else None
+    best = max_divisor_count(n.value() - 1) if n.log10_value() <= _ENUM_HARD_CEILING + 1 else None
     if best is None:
         raise ResourceLimit(f"enumeration above 10^{_ENUM_HARD_CEILING} is not supported")
     return best < n.divisor_count()
@@ -154,9 +156,7 @@ class ConjectureRow:
     degenerate: bool  # ln ln n_k < 1 distorts the ratio
 
 
-def conjecture_report(
-    chain_records: list[ChainRecord], log10_ceiling: float = DEFAULT_LOG10_CEILING
-) -> list[ConjectureRow]:
+def conjecture_report(chain_records: list[ChainRecord]) -> list[ConjectureRow]:
     """Evaluate (never assert) the HCN conjecture along a minimal chain."""
     if len(chain_records) < 2:
         raise InvalidArgument("conjecture report needs at least 2 chain records")
@@ -171,7 +171,7 @@ def conjecture_report(
             degenerate = lnln < 1.0
             ratio = prev_ln / (LN2 * ln_n / lnln)
         try:
-            verdict = is_highly_composite(rec.value, log10_ceiling)
+            verdict = is_highly_composite(rec.value)
         except ResourceLimit:
             verdict = None
         rows.append(

@@ -203,7 +203,28 @@ def test_hcn_check(capsys):
 
 
 def test_hcn_needs_an_action(capsys):
-    assert run(capsys, "hcn")[0] == 1
+    # exactly one of --check and --log10-limit: neither, or both, is a usage error
+    assert run(capsys, "hcn")[:2] == (2, "")
+    assert run(capsys, "hcn", "--log10-limit", "3", "--check", "12")[:2] == (2, "")
+
+
+def test_hcn_check_at_the_enumeration_ceiling(capsys):
+    # the largest highly composite number below 10^18, given in decimal
+    assert run(capsys, "hcn", "--check", "897612484786617600") == (
+        0, "2^8*3^4*5^2*7^2*11*13*17*19*23*29*31*37: highly composite\n", ""
+    )
+    assert run(capsys, "hcn", "--check", "2^60") == (
+        1, "", "error: enumeration above 10^18.0 is not supported\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("hcn", "--check", "2^4*3^2*5*7"), ("conjecture", "--max-k", "4", "--bound", "100")],
+    ids=["hcn", "conjecture"],
+)
+def test_ceiling_flag_is_gone(capsys, argv):
+    assert run(capsys, *argv, "--ceiling", "15")[:2] == (2, "")
 
 
 def test_wigert(capsys):
@@ -368,7 +389,7 @@ def test_naive_past_float_range(capsys):
 
 def test_hcn_check_past_float_range(capsys):
     huge = f"2^{10**400}"
-    message = "error: value has log10 ~inf, above the enumeration ceiling 15.0\n"
+    message = "error: enumeration above 10^18.0 is not supported\n"
     for form in ("text", "json"):
         assert run(capsys, "hcn", "--check", huge, "--format", form) == (1, "", message)
 
@@ -428,17 +449,9 @@ def test_wigert_rejects_nan_epsilon(capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("hcn", "--log10-limit"),
-        ("hcn", "--check", "2^4*3^2*5*7", "--ceiling"),
-        ("conjecture", "--max-k", "4", "--bound", "100", "--ceiling"),
-    ],
-    ids=["hcn-log10-limit", "hcn-check-ceiling", "conjecture-ceiling"],
-)
+@pytest.mark.parametrize("argv", [("hcn", "--log10-limit")], ids=["hcn-log10-limit"])
 def test_non_finite_bounds_rejected(capsys, argv, value):
-    # nan used to end in a traceback (--log10-limit) or turn the ceiling off
+    # nan used to end in a traceback
     code, out, err = run(capsys, *argv, value)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and f"must be finite, got {value}" in err

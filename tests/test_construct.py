@@ -316,9 +316,9 @@ def oracle_runs(monkeypatch):
     runs = []
     original = construct._MinSearch.run
 
-    def counted(self, target):
+    def counted(self, target, seed):
         runs.append(target)
-        return original(self, target)
+        return original(self, target, seed)
 
     monkeypatch.setattr(construct._MinSearch, "run", counted)
     return runs

@@ -16,7 +16,7 @@ from divperiod import (
 )
 from divperiod.cli import main
 from divperiod.errors import ResourceLimit
-from divperiod.hcn import _candidates, max_divisor_count
+from divperiod.hcn import _least_by_count, max_divisor_count
 
 
 def test_enumerate_small():
@@ -35,17 +35,35 @@ def test_enumerate_rejects_nonpositive():
         enumerate_hcn(0.0)
 
 
-def test_enumerate_matches_sieve_argmax():
-    table = period_table(100_000)
-    d = table.divisor_of
-    expect = []
-    best = 0
-    for n in range(1, 100_001):
-        if int(d[n]) > best:
-            best = int(d[n])
-            expect.append(n)
-    got = [int(r.decimal) for r in enumerate_hcn(5.0)]
-    assert got == expect
+def test_enumerate_matches_sieve_argmax(table_5m):
+    d = table_5m.divisor_of
+    for log10_limit in (5.0, 6.0):
+        top = 10 ** int(log10_limit)
+        # n is a record when d(n) beats the running maximum over [1, n)
+        before = np.maximum.accumulate(np.concatenate(([0], d[1:top])))
+        expect = (np.flatnonzero(d[1 : top + 1] > before) + 1).tolist()
+        got = [int(r.decimal) for r in enumerate_hcn(log10_limit)]
+        assert got == expect, log10_limit
+
+
+def test_enumerate_to_the_ceiling():
+    # OEIS A002182: 156 highly composite numbers up to 10^18
+    records = enumerate_hcn(18.0)
+    assert len(records) == 156
+    assert (records[-1].decimal, records[-1].divisor_count) == ("897612484786617600", 103_680)
+
+
+def test_least_by_count_matches_sieve(table_5m):
+    d = table_5m.divisor_of
+    for limit in (1, 2, 12, 1_000, 5_039, 5_040, 65_536, 720_720, 1_000_000):
+        # np.unique gives the first index, so the least n, of each count
+        counts, first = np.unique(d[1 : limit + 1], return_index=True)
+        expect = dict(zip(counts.tolist(), (first + 1).tolist()))
+        least = _least_by_count(limit)
+        assert {v: m for v, (m, _) in least.items()} == expect, limit
+        for v, (m, exps) in least.items():
+            assert FactoredInt.from_exponents(exps).value() == m
+            assert math.prod(e + 1 for e in exps) == v
 
 
 def test_enumerate_structural_invariants():
@@ -70,19 +88,22 @@ def test_is_highly_composite_ceiling():
         is_highly_composite(FactoredInt(((2, 60),)))
 
 
-def _max_over_candidates(limit):
-    """The plain maximum of prod(e + 1) over every candidate <= limit."""
-    return max(math.prod(e + 1 for e in exps) for _, exps in _candidates(limit))
+def test_is_highly_composite_at_the_enumeration_ceiling():
+    assert is_highly_composite(factorize(897612484786617600))
+    # n - 1 = 10^18 is answered; n + 1 is past the ceiling
+    assert not is_highly_composite(factorize(10**18 + 1))
+    with pytest.raises(ResourceLimit, match=r"enumeration above 10\^18.0 is not supported"):
+        is_highly_composite(factorize(10**18 + 2))
 
 
 def test_max_divisor_count_matches_candidates():
     for n in range(1, 3_001):
-        assert max_divisor_count(n) == _max_over_candidates(n), n
+        assert max_divisor_count(n) == max(_least_by_count(n)), n
     rng = random.Random(18)
     for _ in range(20):
         n = rng.randrange(2, 10 ** rng.randint(4, 18) + 1)
-        assert max_divisor_count(n) == _max_over_candidates(n), n
-    assert max_divisor_count(10**18) == _max_over_candidates(10**18) == 103_680
+        assert max_divisor_count(n) == max(_least_by_count(n)), n
+    assert max_divisor_count(10**18) == max(_least_by_count(10**18)) == 103_680
 
 
 def test_chain_values_are_highly_composite():
