@@ -209,8 +209,9 @@ def cmd_min_divisors(args) -> int:
 def cmd_chain(args) -> int:
     records = construct.chain(args.max_k, args.bound)
     missing = len(records) + 1 if len(records) < args.max_k else None
-    columns = ("k", "factored", "decimal", "digits", "verification")
-    rows = [(r.period, r.value.to_text(), r.decimal, r.digit_count, r.verification) for r in records]
+    columns = ("k", "factored", "decimal", "digits", "verification", "canonical_match")
+    rows = [(r.period, r.value.to_text(), r.decimal, r.digit_count, r.verification,
+             r.canonical_match) for r in records]
 
     def doc():
         found = {"records": [dict(zip(columns, row)) for row in rows]}

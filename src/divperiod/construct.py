@@ -12,9 +12,12 @@ Three routes to an n1 with d(n1) = n:
   (e_i + 1) product hits the target, branch-and-bound in log space from
   the canonical preimage as incumbent, with exact comparison on near-ties.
 
-``min_with_period`` and ``chain`` combine these with the least n of
-each period up to a bound to build the minimal-n-per-period table,
-labelling each entry with how far its minimality was actually verified.
+``min_with_period`` and ``chain`` build the minimal-n-per-period table
+record by record: the least integer of period k is the least MinDiv(t)
+over the targets t of period k - 1, the least of which is the record
+before it.  The oracle runs on that target, the highly-composite cap on
+d of its result bounds the targets still to try, and each entry is
+labelled with how its minimality was established.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .divisor import _check_limit, first_occurrences, period
+from .divisor import _check_limit, period
 from .errors import InvalidArgument, TooLarge
 from .factored import _LOG_SCREEN, FactoredInt
 from .hcn import _ENUM_HARD_CEILING, max_divisor_count
@@ -174,60 +177,55 @@ class ChainRecord:
     value: FactoredInt
     decimal: str
     digit_count: int
+    # base-case (k <= 2), hcn-certified(d<=cap) (exact) or
+    # oracle-verified-up-to-bound(bound) (least over the targets up to it)
     verification: str
     # does canonical_preimage of the previous chain entry reproduce this
     # value? None when there is no previous entry to apply it to.
     canonical_match: bool | None = None
 
 
-def _record(k: int, value: FactoredInt, verification: str) -> ChainRecord:
+def _record(k: int, value: FactoredInt, label: str, match: bool | None = None) -> ChainRecord:
     dec = value.to_decimal()
-    return ChainRecord(k, value, dec, len(dec), verification)
+    return ChainRecord(k, value, dec, len(dec), label, match)
 
 
 def min_with_period(
-    k: int,
-    candidate_bound: int = DEFAULT_CANDIDATE_BOUND,
-    occurrences: dict[int, int] | None = None,
+    k: int, candidate_bound: int = DEFAULT_CANDIDATE_BOUND, *, _previous: ChainRecord | None = None
 ) -> ChainRecord | None:
     """Minimal integer with period k, or None if unreachable at this bound.
 
     k = 1 and k = 2 (values 2 and 4) are base cases: 2 is the fixed point
     of d, so for k = 2 the oracle's least target 2 would give 2 itself,
-    which has period 1.  They are labelled sieve-verified when the bound
-    reaches them and base-case when it stops below.  For k >= 3, if some
-    n <= ``candidate_bound`` already has period k the answer is
-    unconditional (sieve-verified).  Otherwise every n' <= the bound
-    with period k-1 is a divisor-count target for the exact oracle and
-    the minimum is only known relative to the bound.  The sweep is
-    pruned by the highly-composite bound: once the least target gives a
-    value S, no target above d(H), H the largest highly composite number
-    <= S, can give less, so only the targets up to d(H) are tried.  The
-    result and its label are those of the full sweep.
-
-    ``occurrences`` is ``first_occurrences(candidate_bound)``, if the
-    caller has it.  For k >= 3 the bound may be at most the sieve
-    ceiling, as the sweep takes the period of every target up to it.
+    which has period 1.  For k >= 3, n has period k iff d(n) has period
+    k - 1, so the answer is the least MinDiv(t) over the period-(k-1)
+    targets t, the least of which is the previous record ``_previous``
+    (built by recursion if not given); None if it exceeds the bound.  The
+    oracle runs on it, seeded with its canonical preimage, and gives S.
+    Every m <= S has d(m) <= cap = d(H), H the largest highly composite
+    number <= S (Ramanujan 1915), so the sweep tries only the targets up
+    to min(cap, bound).  If cap <= bound every target that could win was
+    tried: ``hcn-certified(d<=cap)``.  Otherwise the result is the least
+    over the targets up to it: ``oracle-verified-up-to-bound(bound)``.
+    For k >= 3 the bound may be at most the sieve ceiling, as the sweep
+    takes the period of every target up to it.
     """
     if k < 1:
         raise InvalidArgument(f"period must be >= 1, got {k}")
     if candidate_bound < 2:
         raise InvalidArgument(f"candidate bound must be >= 2, got {candidate_bound}")
     if k <= 2:
-        label = "sieve-verified" if 2 * k <= candidate_bound else "base-case"
-        return _record(k, factorize(2 * k), label)
+        return _record(k, factorize(2 * k), "base-case")
     # the sweep below takes period(t) of every target t up to the bound
     _check_limit(candidate_bound)
-    if occurrences is None:
-        occurrences = first_occurrences(candidate_bound)
-    if k in occurrences:
-        return _record(k, factorize(occurrences[k]), "sieve-verified")
-    if k - 1 not in occurrences:
+    if _previous is None:
+        _previous = min_with_period(k - 1, candidate_bound)
+    if _previous is None or _previous.value.value() > candidate_bound:
         return None
-
-    least = occurrences[k - 1]
+    least = _previous.value.value()
+    seed = canonical_preimage(_previous.value)
     search = _MinSearch()
-    search.run(least, canonical_preimage(factorize(least)))
+    search.run(least, seed)
     # a target t with MinDiv(t) <= S has t = d(MinDiv(t)) <= d(H); the
     # float screen spares computing the exact value of a huge S
     cap = None
@@ -246,31 +244,29 @@ def min_with_period(
             continue
         search.run(t, canonical_preimage(ft))
     best = FactoredInt.from_exponents(search.best_exps)
-    return _record(k, best, f"oracle-verified-up-to-bound({candidate_bound})")
+    if cap is not None and cap <= candidate_bound:
+        label = f"hcn-certified(d<={cap})"
+    else:
+        label = f"oracle-verified-up-to-bound({candidate_bound})"
+    return _record(k, best, label, seed.compare(best) == 0)
 
 
-def chain(
-    max_k: int, candidate_bound: int = DEFAULT_CANDIDATE_BOUND
-) -> list[ChainRecord]:
+def chain(max_k: int, candidate_bound: int = DEFAULT_CANDIDATE_BOUND) -> list[ChainRecord]:
     """Minimal-n records for periods 1..max_k, as far as reachable.
 
-    k = 1 and k = 2 (values 2 and 4) are the base cases of
-    ``min_with_period``: the canonical construction applied to 2 lands
-    back on the fixed point 2 and never advances the period, so they
-    cannot be produced by it.  Each later record also checks whether
-    canonical_preimage of its predecessor reproduces it.
+    Each record feeds the next: from k = 3 on, ``min_with_period`` takes
+    the record before it as its least target and the canonical preimage
+    of that record as its oracle seed, and ``canonical_match`` says
+    whether that preimage is the record itself.  The chain stops at the
+    first period whose least target exceeds ``candidate_bound``.
     """
     if max_k < 1:
         raise InvalidArgument(f"max_k must be >= 1, got {max_k}")
     _check_limit(candidate_bound)
-    occurrences = first_occurrences(candidate_bound)
     records: list[ChainRecord] = []
     for k in range(1, max_k + 1):
-        rec = min_with_period(k, candidate_bound, occurrences)
+        rec = min_with_period(k, candidate_bound, _previous=records[-1] if records else None)
         if rec is None:
             break
-        if k > 2:
-            constructed = canonical_preimage(records[-1].value)
-            rec.canonical_match = constructed.compare(rec.value) == 0
         records.append(rec)
     return records

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import InvalidArgument, ResourceLimit
 
-# Practical sieve ceiling, shared with the period tables of ``divisor``:
-# 2*10^8 int32 entries is ~800 MB of arrays, past the 10^8 design target.
+# Practical sieve ceiling: ``build_table`` holds a byte per integer, and ``divisor._check_limit``
+# puts the same limit on a ``Sieve``, ``period_table`` and the chain's target sweep.
 SIEVE_CEILING = 200_000_000
 
 # products of |x - y| that Brent's rho accumulates per gcd

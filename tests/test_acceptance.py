@@ -70,11 +70,18 @@ def test_criterion_2_minimal_period7_value(capsys):
 def test_criterion_3_chain_consistency(capsys):
     records = chain(6)
     ok = [r.decimal for r in records] == ["2", "4", "6", "12", "60", "5040"]
-    ok = ok and all(r.verification == "sieve-verified" for r in records)
+    ok = ok and [r.verification for r in records] == [
+        "base-case",
+        "base-case",
+        "hcn-certified(d<=4)",
+        "hcn-certified(d<=6)",
+        "hcn-certified(d<=12)",
+        "hcn-certified(d<=60)",
+    ]
     for prev, cur in zip(records[1:], records[2:]):
         ok = ok and canonical_preimage(prev.value).compare(cur.value) == 0
     with capsys.disabled():
-        _verdict(3, "chain to k=6 sieve-verified and canonically linked", ok)
+        _verdict(3, "chain to k=6 certified by the HCN cap and canonically linked", ok)
 
 
 def test_criterion_4_oracle_ground_truth(capsys):

@@ -143,15 +143,18 @@ def test_chain_seven(capsys):
     last = records[-1]
     assert last["factored"] == "2^6*3^4*5^2*7^2*11*13*17*19"
     assert last["digits"] == 12
-    assert set(last) == {"k", "factored", "decimal", "digits", "verification"}
+    assert set(last) == {"k", "factored", "decimal", "digits", "verification", "canonical_match"}
+    assert last["verification"] == "hcn-certified(d<=5040)"
+    assert [r["canonical_match"] for r in records] == [None, None] + [True] * 5
 
 
 def test_chain_csv(capsys):
     code, out, _ = run(capsys, "chain", "--max-k", "3", "--bound", "100", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "k,factored,decimal,digits,verification"
-    assert lines[1] == "1,2,2,1,sieve-verified"
+    assert lines[0] == "k,factored,decimal,digits,verification,canonical_match"
+    assert lines[1] == "1,2,2,1,base-case,"
+    assert lines[3] == "3,2*3,6,1,hcn-certified(d<=4),true"
 
 
 @pytest.mark.parametrize("bound", ["2", "3"])
@@ -159,7 +162,7 @@ def test_chain_base_case_label(capsys, bound):
     code, out, _ = run(capsys, "chain", "--max-k", "8", "--bound", bound)
     assert code == 0
     assert out.splitlines() == [
-        "k=1: 2 = 2 (sieve-verified)",
+        "k=1: 2 = 2 (base-case)",
         "k=2: 4 = 2^2 (base-case)",
         f"k=3: not found within bound {bound}",
     ]
@@ -301,8 +304,9 @@ FORMS = [
     ),
     (
         "chain --max-k 4 --bound 100 --format csv",
-        "k,factored,decimal,digits,verification\n1,2,2,1,sieve-verified\n"
-        "2,2^2,4,1,sieve-verified\n3,2*3,6,1,sieve-verified\n4,2^2*3,12,2,sieve-verified\n",
+        "k,factored,decimal,digits,verification,canonical_match\n1,2,2,1,base-case,\n"
+        "2,2^2,4,1,base-case,\n3,2*3,6,1,hcn-certified(d<=4),true\n"
+        "4,2^2*3,12,2,hcn-certified(d<=6),true\n",
     ),
     (
         "verify-theorem1 --limit 20 --sieve-bound 1000 --format csv",

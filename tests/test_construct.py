@@ -12,7 +12,6 @@ from divperiod import (
     chain,
     exact_min_with_divisors,
     factorize,
-    first_occurrences,
     min_with_period,
     naive_preimage,
     period,
@@ -196,25 +195,32 @@ def test_period_increment_property():
 
 def test_min_with_period_sieve_cases():
     rec = min_with_period(5, 10_000)
-    assert rec.decimal == "60" and rec.verification == "sieve-verified"
+    assert rec.decimal == "60" and rec.verification == "hcn-certified(d<=12)"
+    assert rec.canonical_match is True
     rec = min_with_period(1, 10_000)
-    assert rec.decimal == "2" and rec.verification == "sieve-verified"
+    assert rec.decimal == "2" and rec.verification == "base-case"
+    assert rec.canonical_match is None
 
 
 @pytest.mark.parametrize("bound", [2, 3])
 def test_min_with_period_base_case_beyond_sieve(bound):
-    # the sieve stops below 4, so the least period-2 integer is a base case there
-    assert min_with_period(1, bound).verification == "sieve-verified"
+    # k = 1 and k = 2 are base cases at every bound; k = 3 needs its least
+    # target 4 within the bound
+    assert min_with_period(1, bound).verification == "base-case"
     rec = min_with_period(2, bound)
     assert rec.decimal == "4" and rec.verification == "base-case"
-    assert min_with_period(2, 4).verification == "sieve-verified"
+    assert min_with_period(2, 4).verification == "base-case"
+    assert min_with_period(3, bound) is None
+    rec = min_with_period(3, 4)
+    assert rec.decimal == "6" and rec.verification == "hcn-certified(d<=4)"
 
 
 def test_min_with_period_oracle_case():
     rec = min_with_period(7, 6_000)
     assert rec.decimal == "293318625600"
     assert rec.digit_count == 12
-    assert rec.verification == "oracle-verified-up-to-bound(6000)"
+    assert rec.verification == "hcn-certified(d<=5040)"
+    assert rec.canonical_match is True
 
 
 def test_min_with_period_not_found():
@@ -222,27 +228,27 @@ def test_min_with_period_not_found():
 
 
 def test_min_with_period_bound_keeps_sieve_ceiling():
-    # first_occurrences reaches 10^18, but the sweep takes the period of
-    # every target up to the bound; the base cases need no sweep
-    occurrences = first_occurrences(primes.SIEVE_CEILING + 1)
+    # the sweep takes the period of every target up to the bound; the base
+    # cases need no sweep
     with pytest.raises(ResourceLimit, match="exceeds ceiling 200000000"):
-        min_with_period(3, primes.SIEVE_CEILING + 1, occurrences)
+        min_with_period(3, primes.SIEVE_CEILING + 1)
     assert min_with_period(2, primes.SIEVE_CEILING + 1).decimal == "4"
 
 
 def test_chain():
     records = chain(6, candidate_bound=6_000)
     assert [r.decimal for r in records] == ["2", "4", "6", "12", "60", "5040"]
-    assert all(r.verification == "sieve-verified" for r in records)
+    assert [r.verification for r in records] == ["base-case"] * 2 + [
+        f"hcn-certified(d<={cap})" for cap in (4, 6, 12, 60)
+    ]
     assert [r.canonical_match for r in records] == [None, None, True, True, True, True]
 
 
 def test_min_with_period_has_that_period():
     # at bounds 2 and 3 the oracle would answer k = 2 with MinDiv(2) = 2, of period 1
     for bound in [*range(2, 130), 5_039, 5_040]:
-        occurrences = first_occurrences(bound)
         for k in range(1, 8):
-            rec = min_with_period(k, bound, occurrences)
+            rec = min_with_period(k, bound)
             if rec is not None:
                 assert period(int(rec.decimal)) == k, (k, bound)
     assert min_with_period(2, 2).decimal == "4"
@@ -285,7 +291,8 @@ def test_min_with_period_matches_full_sweep(k, bound):
             best = value
     rec = min_with_period(k, bound)
     assert rec.value == best
-    assert rec.verification == f"oracle-verified-up-to-bound({bound})"
+    # each record is highly composite, so its cap is its own divisor count
+    assert rec.verification == f"hcn-certified(d<={ {5: 12, 6: 60, 7: 5040}[k] })"
 
 
 def test_hcn_divisor_bound_dominates_sieve():
@@ -325,9 +332,12 @@ def oracle_runs(monkeypatch):
 
 
 def _synthetic_targets(monkeypatch, targets):
-    """Make ``targets`` the only integers of period 4, as the sweep reads periods."""
+    """Make ``targets`` the only integers of period 4, as the sweep reads periods.
+
+    Returns the least of them as the period-4 record before the sweep.
+    """
     monkeypatch.setattr(construct, "period", lambda t: 4 if t in targets else 0)
-    return {4: min(targets)}
+    return construct._record(4, factorize(min(targets)), "synthetic")
 
 
 def test_min_with_period_prunes_above_hcn_bound(oracle_runs, monkeypatch):
@@ -335,27 +345,56 @@ def test_min_with_period_prunes_above_hcn_bound(oracle_runs, monkeypatch):
     # composite H = 60 has 12 divisors, so 12 (MinDiv 60) is the last
     # target kept and wins; 13 and 18 are never run
     targets = [7, 12, 13, 18]
-    occurrences = _synthetic_targets(monkeypatch, targets)
+    previous = _synthetic_targets(monkeypatch, targets)
     assert min(int(exact_min_with_divisors(t).to_decimal()) for t in targets) == 60
     oracle_runs.clear()
-    rec = min_with_period(5, 19, occurrences)
+    rec = min_with_period(5, 19, _previous=previous)
     assert rec.decimal == "60"
+    assert rec.verification == "hcn-certified(d<=12)"
+    assert rec.canonical_match is False
     assert oracle_runs == [7, 12]
+
+
+def test_min_with_period_uncertified_when_cap_exceeds_bound(oracle_runs, monkeypatch):
+    # 7 gives S = 64 and cap 12, above the bound 10: the targets 12, 13 and
+    # 18 are never tried, so 64 is only the least over the targets <= 10
+    previous = _synthetic_targets(monkeypatch, [7, 12, 13, 18])
+    oracle_runs.clear()
+    rec = min_with_period(5, 10, _previous=previous)
+    assert rec.decimal == "64"
+    assert rec.verification == "oracle-verified-up-to-bound(10)"
+    assert rec.canonical_match is True
+    assert oracle_runs == [7]
 
 
 def test_min_with_period_reads_target_after_least(oracle_runs, monkeypatch):
     # the target right after the least one is read and wins: MinDiv(8) = 24
-    occurrences = _synthetic_targets(monkeypatch, [7, 8])
+    previous = _synthetic_targets(monkeypatch, [7, 8])
     oracle_runs.clear()
-    assert min_with_period(5, 19, occurrences).decimal == "24"
+    rec = min_with_period(5, 19, _previous=previous)
+    assert rec.decimal == "24"
+    # the canonical preimage of 7 is 2^6 = 64, not the least
+    assert rec.canonical_match is False
     assert oracle_runs == [7, 8]
 
 
-def test_chain_to_seven_runs_oracle_at_most_twice(oracle_runs):
+def test_chain_to_seven_runs_oracle_once_per_record(oracle_runs):
+    # each record is highly composite, so its cap is the target it came
+    # from and no sweep is left after the first run
     records = chain(7)
     assert records[-1].value == L
-    assert records[-1].verification == "oracle-verified-up-to-bound(5000000)"
-    assert len(oracle_runs) <= 2
+    assert records[-1].verification == "hcn-certified(d<=5040)"
+    assert oracle_runs == [4, 6, 12, 60, 5040]
+
+
+def test_chain_matches_walk_witness():
+    # the walk visits every m <= L, not only the exponent candidates the
+    # oracle and the cap rest on
+    least = divisor.least_by_divisor_count(L.value())
+    records = chain(7)
+    for k in range(3, 8):
+        want = min(m for v, m in least.items() if v >= 2 and period(v) == k - 1)
+        assert records[k - 1].value.value() == want, k
 
 
 @pytest.fixture
@@ -369,20 +408,17 @@ def sieve_reads(block_calls, monkeypatch):
     return block_calls
 
 
-# only the periods of the divisor counts up to d(H) = 384, H = 4324320 the
-# largest highly composite number <= 5 * 10^6; no n <= the bound is sieved
-ONE_BLOCK_AT_DEFAULT = [(0, 384)]
-
-
-def test_chain_to_seven_reads_one_block(sieve_reads):
+def test_chain_to_seven_reads_no_block(sieve_reads):
+    # each record's cap is the target it came from, so the sweep takes no
+    # period and nothing is sieved
     assert chain(7)[-1].value == L
-    assert sieve_reads == ONE_BLOCK_AT_DEFAULT
+    assert sieve_reads == []
 
 
-def test_conjecture_reads_one_block(sieve_reads, capsys):
+def test_conjecture_reads_no_block(sieve_reads, capsys):
     assert main(["conjecture", "--max-k", "7"]) == 0
     assert "k=7: n=293318625600" in capsys.readouterr().out
-    assert sieve_reads == ONE_BLOCK_AT_DEFAULT
+    assert sieve_reads == []
 
 
 def _check_verify_theorem1_sieve_min(capsys, bound):
